@@ -97,7 +97,6 @@ from .perms import (
     identity_perm,
     invert,
     parse_cycles,
-    perm_order,
     perm_parity,
 )
 from .rightloops import (
@@ -110,23 +109,16 @@ from .rightloops import (
     group_torsion,
     is_associative,
     left_nonsingular_elements,
-    loads_table,
-    loop_from_json,
-    loop_to_json,
     structure_flags,
-    torsion_envelope,
-    dumps_table,
     validate_right_loop,
 )
 from .transversals import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationTooLargeError,
     Transversal,
-    coset_action,
     enumerate_transversals,
     induced_right_loop,
     make_transversal,
-    project_transversal,
     transversal_count,
     transversal_from_elements,
 )

@@ -635,27 +635,49 @@ def _check_thm41(p: int) -> CheckReport:
     return CheckReport("thm4.1", f"p={p}", "pass", {"subsets": len(subsets)})
 
 
-def _check_thm42(p: int) -> CheckReport:
-    """The isotopy class count of mod-p flip loops from the cycle-index
-    formula agrees with the Burnside orbit count, the family census, and
-    (for p at most 7) direct classification."""
-    formula = dihedral_isotopy_count(p)
-    orbit_pairs = subset_orbit_count(p)
-    families = len(affine_families(p))
-    details = {
-        "formula": formula,
-        "orbit_count": orbit_pairs,
-        "families": families,
-    }
-    agree = orbit_pairs == 2 * formula and families == formula
+@dataclass(frozen=True)
+class FlipClassCounts:
+    """The isotopy class count of the mod-p flip loops found three ways:
+    the cycle-index formula, the Burnside count of orbits on subsets (which
+    counts each class twice, once with its complement), and for p at most 7
+    direct classification (None above that)."""
+
+    p: int
+    formula: int
+    orbit_count: int
+    direct: int | None
+
+    @property
+    def agree(self) -> bool:
+        direct_ok = self.direct is None or self.direct == self.formula
+        return direct_ok and self.orbit_count == 2 * self.formula
+
+
+def flip_class_counts(p: int) -> FlipClassCounts:
+    direct = None
     if p <= 7:
         loops = [
             flip_loop(p, FlipSet.from_mask(p, mask << 1))
             for mask in range(1 << (p - 1))
         ]
         direct = len(classify(loops, "isotopy").classes)
-        details["direct"] = direct
-        agree = agree and direct == formula
+    return FlipClassCounts(p, dihedral_isotopy_count(p), subset_orbit_count(p), direct)
+
+
+def _check_thm42(p: int) -> CheckReport:
+    """The isotopy class count of mod-p flip loops from the cycle-index
+    formula agrees with the Burnside orbit count, the family census, and
+    (for p at most 7) direct classification."""
+    counts = flip_class_counts(p)
+    families = len(affine_families(p))
+    details = {
+        "formula": counts.formula,
+        "orbit_count": counts.orbit_count,
+        "families": families,
+    }
+    if counts.direct is not None:
+        details["direct"] = counts.direct
+    agree = counts.agree and families == counts.formula
     return CheckReport("thm4.2", f"p={p}", "pass" if agree else "fail", details)
 
 

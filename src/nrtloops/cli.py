@@ -15,20 +15,24 @@ import json
 import sys
 
 from .burnside import (
+    _require_odd_prime,
     affine_cycle_index,
     cycle_index_json_obj,
-    dihedral_isotopy_count,
     format_cycle_index,
-    is_prime,
-    subset_orbit_count,
 )
-from .checks import CHECK_IDS, default_catalog, load_catalog, run_suite, suite_passed
+from .checks import (
+    CHECK_IDS,
+    default_catalog,
+    flip_class_counts,
+    load_catalog,
+    run_suite,
+    suite_passed,
+)
 from .flips import (
     FlipSet,
     affine_families,
     affine_family,
     families_json_obj,
-    flip_loop,
     loop_transversal_census,
 )
 from .groups import GroupError, build_named_group, dumps_cayley, parse_subgroup
@@ -85,7 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--group", required=True, help="group descriptor")
     cls.add_argument("--subgroup", required=True, help="subgroup generators")
     cls.add_argument("--relation", choices=("iso", "isotopy"), default="isotopy")
-    cls.add_argument("--jobs", type=int, default=1)
+    cls.add_argument(
+        "--jobs", type=int, default=1, help="has no effect; classification is serial"
+    )
     cls.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     add_common(cls)
 
@@ -147,8 +153,12 @@ def _emit_csv(args, rows) -> None:
 
 
 def _require_odd_prime_arg(p) -> int:
-    if p is None or not is_prime(p) or p == 2:
-        raise GroupError(f"--p must be an odd prime, got {p}")
+    try:
+        if p is None:
+            raise ValueError("no value")
+        _require_odd_prime(p)
+    except ValueError:
+        raise GroupError(f"--p must be an odd prime, got {p}") from None
     return p
 
 
@@ -222,7 +232,7 @@ def cmd_classify(args) -> int:
     transversals = list(enumerate_transversals(G, H, cap=args.cap))
     loops = [induced_right_loop(t) for t in transversals]
     labels = [t.label() for t in transversals]
-    partition = classify(loops, args.relation, labels, jobs=args.jobs)
+    partition = classify(loops, args.relation, labels)
     if args.format == "json":
         obj = partition.to_json_obj()
         obj["group"] = args.group
@@ -290,35 +300,19 @@ def cmd_dihedral(args) -> int:
                 lines.append("  " + " ".join(s.format() for s in fam))
             _emit(args, "\n".join(lines))
         return EXIT_OK
-    formula = dihedral_isotopy_count(p)
-    burnside = subset_orbit_count(p)
-    if burnside != 2 * formula:
-        _emit(args, f"mismatch: formula {formula}, orbit count {burnside}")
+    counts = flip_class_counts(p)
+    if not counts.agree:
+        _emit(args, f"mismatch: {counts}")
         return EXIT_CHECK_FAILED
-    values = [formula, burnside // 2]
-    direct = None
-    if p <= 7:
-        loops = [
-            flip_loop(p, FlipSet.from_mask(p, mask << 1))
-            for mask in range(1 << (p - 1))
-        ]
-        direct = len(classify(loops, "isotopy").classes)
-        values.append(direct)
-    if len(set(values)) != 1:
-        _emit(args, f"mismatch: {' vs '.join(map(str, values))}")
-        return EXIT_CHECK_FAILED
+    row = {"formula": counts.formula, "burnside": counts.orbit_count // 2}
+    if counts.direct is not None:
+        row["direct"] = counts.direct
     if args.format == "json":
-        obj = {"p": p, "formula": formula, "burnside": burnside // 2}
-        if direct is not None:
-            obj["direct"] = direct
-        _emit_json(args, obj)
+        _emit_json(args, {"p": p, **row})
     elif args.format == "csv":
-        header = ["p", "formula", "burnside"] + (
-            ["direct"] if direct is not None else []
-        )
-        _emit_csv(args, [header, [p] + values])
+        _emit_csv(args, [["p", *row], [p, *row.values()]])
     else:
-        _emit(args, " = ".join(map(str, values)))
+        _emit(args, " = ".join(map(str, row.values())))
     return EXIT_OK
 
 

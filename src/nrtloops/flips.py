@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .burnside import AffineMap, is_prime
+from .burnside import AffineMap, _require_odd_prime
 from .groups import dihedral_group, right_cosets, subgroup
 from .rightloops import RightLoop, structure_flags, validate_right_loop
 from .transversals import (
@@ -184,11 +184,6 @@ def loop_transversal_census(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Censu
 
 # ---------------------------------------------------------------------------
 # isotopy families over a prime modulus
-
-
-def _require_odd_prime(p: int) -> None:
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"expected an odd prime, got {p}")
 
 
 def affine_family(p: int, B) -> frozenset[FlipSet]:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .perms import compose, cycle_type, identity_perm, invert, is_permutation
 from .rightloops import (
     RightLoop,
-    group_torsion,
     left_nonsingular_elements,
     structure_flags,
     validate_right_loop,
@@ -275,33 +274,6 @@ def brute_force_isotopy_oracle(L1: RightLoop, L2: RightLoop) -> bool:
 # classification
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _bucket_key(loop: RightLoop):
-    """Invariants shared by both relations: loop flag, count of bijective
-    rows, the row-bijectivity profile, and the torsion order."""
-    flags = structure_flags(loop)
-    bij = tuple(
-        sorted(len(set(row)) == loop.order for row in loop.table)
-    )
-    lns = sum(bij)
-    return (flags.is_loop, lns, bij, group_torsion(loop).order)
-
-
 @dataclass(frozen=True)
 class ClassPartition:
     relation: str
@@ -350,22 +322,13 @@ def _relation_test(relation: str):
     raise ValueError(f"unknown relation {relation!r} (expected 'iso' or 'isotopy')")
 
 
-def _pair_related(args) -> bool:
-    relation, table1, table2 = args
-    test = _relation_test(relation)
-    return test(validate_right_loop(table1), validate_right_loop(table2)) is not None
-
-
-def classify(
-    loops,
-    relation: str = "isotopy",
-    labels=None,
-    jobs: int = 1,
-) -> ClassPartition:
-    """Partition same-order right loops into equivalence classes, bucketing
-    by cheap invariants first. The class representative is the member with
-    the lexicographically least table; class order follows the least member
-    index. The result does not depend on jobs."""
+def classify(loops, relation: str = "isotopy", labels=None) -> ClassPartition:
+    """Partition same-order right loops into equivalence classes in one
+    pass over the input. Each loop is compared only with the first member of
+    each earlier class that has as many left non-singular elements, a count
+    that both relations preserve (Prop 3.2). Classes come out in order of
+    their least member; the representative is the member with the
+    lexicographically least table."""
     loops = tuple(loops)
     test = _relation_test(relation)
     if labels is None:
@@ -377,45 +340,22 @@ def classify(
     if loops and any(l.order != loops[0].order for l in loops):
         raise ValueError("classification requires loops of equal order")
 
-    buckets: dict = {}
+    classes: list[list[int]] = []
+    by_count: dict[int, list[list[int]]] = {}
     for i, loop in enumerate(loops):
-        buckets.setdefault(_bucket_key(loop), []).append(i)
-
-    uf = _UnionFind(len(loops))
-    for key in sorted(buckets):
-        members = buckets[key]
-        if jobs > 1:
-            pairs = list(itertools.combinations(members, 2))
-            from concurrent.futures import ProcessPoolExecutor
-
-            args = [(relation, loops[i].table, loops[j].table) for i, j in pairs]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                hits = list(pool.map(_pair_related, args, chunksize=16))
-            for (i, j), hit in zip(pairs, hits):
-                if hit:
-                    uf.union(i, j)
+        candidates = by_count.setdefault(len(left_nonsingular_elements(loop)), [])
+        for members in candidates:
+            if test(loops[members[0]], loop) is not None:
+                members.append(i)
+                break
         else:
-            reps: list[int] = []
-            for i in members:
-                for r in reps:
-                    if test(loops[r], loops[i]) is not None:
-                        uf.union(r, i)
-                        break
-                else:
-                    reps.append(i)
-
-    grouped: dict[int, list[int]] = {}
-    for i in range(len(loops)):
-        grouped.setdefault(uf.find(i), []).append(i)
-    classes = tuple(
-        tuple(sorted(members))
-        for _, members in sorted(grouped.items(), key=lambda kv: min(kv[1]))
-    )
+            new_class = [i]
+            candidates.append(new_class)
+            classes.append(new_class)
     representatives = tuple(
-        validate_right_loop(min(loops[i].table for i in members))
-        for members in classes
+        min((loops[i] for i in members), key=lambda l: l.table) for members in classes
     )
-    return ClassPartition(relation, labels, classes, representatives)
+    return ClassPartition(relation, labels, tuple(map(tuple, classes)), representatives)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from math import lcm
 
 
 def identity_perm(n: int) -> tuple[int, ...]:
@@ -54,10 +53,6 @@ def cycle_type(p) -> tuple[tuple[int, int], ...]:
 
 def cycle_count(p) -> int:
     return len(cycle_decomposition(p))
-
-
-def perm_order(p) -> int:
-    return lcm(*(len(c) for c in cycle_decomposition(p)))
 
 
 def perm_parity(p) -> int:

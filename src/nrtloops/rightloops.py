@@ -9,13 +9,11 @@ element is left non-singular, and a group when it is additionally
 associative.
 
 ``group_torsion`` computes the permutation group generated by the defect
-maps R(x*y)^-1 R(y) R(x); it is trivial exactly on group tables, and
-together with the right translations it generates the torsion envelope.
+maps R(x*y)^-1 R(y) R(x); it is trivial exactly on group tables.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -140,18 +138,6 @@ class PermutationGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def cayley_group(self):
-        """The abstract group of this permutation set as a Cayley table
-        (elements sorted, which puts the identity at index 0)."""
-        from .groups import FiniteGroup
-
-        elems = sorted(self.elements)
-        index = {p: i for i, p in enumerate(elems)}
-        table = tuple(
-            tuple(index[compose(p, q)] for q in elems) for p in elems
-        )
-        return FiniteGroup(len(elems), table, None, "permutation")
-
 
 def close_permutations(degree: int, generators) -> PermutationGroup:
     """Work-queue closure of a generator set inside the symmetric group."""
@@ -183,56 +169,3 @@ def group_torsion(loop: RightLoop) -> PermutationGroup:
     return close_permutations(loop.order, sorted(gens))
 
 
-def torsion_envelope(loop: RightLoop) -> PermutationGroup:
-    """Closure of the torsion generators together with all right
-    translations."""
-    torsion = group_torsion(loop)
-    gens = sorted(set(torsion.generators) | set(loop.columns))
-    return close_permutations(loop.order, gens)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def dumps_table(loop: RightLoop) -> str:
-    lines = [str(loop.order)]
-    lines += [" ".join(str(v) for v in row) for row in loop.table]
-    return "\n".join(lines) + "\n"
-
-
-def loads_table(text: str) -> RightLoop:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise RightLoopError("empty table text")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise RightLoopError(f"expected an order, found {lines[0]!r}") from None
-    if len(lines) != n + 1:
-        raise RightLoopError(f"expected {n} rows, found {len(lines) - 1}")
-    rows = []
-    for line in lines[1:]:
-        try:
-            rows.append(tuple(int(t) for t in line.split()))
-        except ValueError:
-            raise RightLoopError(f"non-integer entry in row {line!r}") from None
-    return validate_right_loop(rows)
-
-
-def loop_to_json(loop: RightLoop) -> dict:
-    flags = structure_flags(loop)
-    return {
-        "order": loop.order,
-        "table": [list(row) for row in loop.table],
-        "flags": {"is_loop": flags.is_loop, "is_group": flags.is_group},
-    }
-
-
-def loop_from_json(obj) -> RightLoop:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    loop = validate_right_loop(obj["table"])
-    if loop.order != obj.get("order", loop.order):
-        raise RightLoopError("order field disagrees with the table")
-    return loop

@@ -4,8 +4,7 @@ A normalized right transversal picks one representative from each right
 coset of H in G, with the identity representing H itself. Folding the group
 product back onto the representatives (x * y goes to the representative of
 its coset) induces a right loop on the coset positions; this module
-enumerates transversals, builds those loops, and exposes the action of G on
-coset positions by right multiplication.
+enumerates transversals and builds those loops.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groups import CosetDecomposition, FiniteGroup, GroupError, Subgroup, right_cosets, subgroup
+from .groups import CosetDecomposition, FiniteGroup, GroupError, Subgroup, right_cosets
 from .rightloops import RightLoop, validate_right_loop
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
@@ -117,33 +116,3 @@ def induced_right_loop(T: Transversal) -> RightLoop:
     )
     return validate_right_loop(table)
 
-
-def coset_action(T: Transversal, g: int) -> tuple[int, ...]:
-    """The permutation of coset positions given by right multiplication
-    with g. Composes as a right action: the map of a product g1*g2 is the
-    map of g1 followed by the map of g2."""
-    G, dec, reps = T.group, T.decomposition, T.reps
-    return tuple(dec.coset_of[G.mul(r, g)] for r in reps)
-
-
-def project_transversal(
-    T: Transversal, N: Subgroup, quotient_pair
-) -> Transversal:
-    """Push a transversal through the projection G -> G/N for a normal
-    subgroup N contained in H; the image represents H/N in G/N."""
-    Q, projection = quotient_pair
-    H = T.subgroup
-    if not set(N.members) <= set(H.members):
-        raise GroupError("N must be contained in the subgroup being transversed")
-    image_subgroup = subgroup(Q, {projection[h] for h in H.members})
-    dec = right_cosets(Q, image_subgroup)
-    reps = [-1] * len(dec.cosets)
-    for r in T.reps:
-        q = projection[r]
-        i = dec.coset_of[q]
-        if reps[i] >= 0 and reps[i] != q:
-            raise GroupError("projection is not constant on coset fibres")
-        reps[i] = q
-    if any(r < 0 for r in reps):
-        raise GroupError("projected representatives miss a coset")
-    return make_transversal(Q, image_subgroup, reps, dec)

@@ -1,10 +1,11 @@
 """Tests for isotopy witnesses, classification, and autotopy groups."""
 
 import itertools
+import random
 
 import pytest
 
-from nrtloops.groups import cyclic_group
+from nrtloops.groups import build_named_group, cyclic_group, parse_subgroup
 from nrtloops.isotopy import (
     AUTOTOPY_ORDER_CAP,
     ORACLE_ORDER_CAP,
@@ -22,10 +23,12 @@ from nrtloops.isotopy import (
     pseudo_automorphism_check,
     pseudo_autotopy_triple,
 )
+from nrtloops.perms import invert
 from nrtloops.rightloops import (
     left_nonsingular_elements,
     validate_right_loop,
 )
+from nrtloops.transversals import enumerate_transversals, induced_right_loop
 
 # the four tables induced on two-point-stabilizer transversals over three
 # points, in enumeration order
@@ -155,13 +158,64 @@ def test_classify_isomorphism():
     assert classify(loops4(), relation="isomorphism").classes == part.classes
 
 
-def test_classify_jobs_do_not_change_the_result():
-    serial = classify(loops4(), relation="isotopy", jobs=1)
-    parallel = classify(loops4(), relation="isotopy", jobs=2)
-    assert serial.classes == parallel.classes
-    assert [r.table for r in serial.representatives] == [
-        r.table for r in parallel.representatives
-    ]
+def transversal_loops(group, sub):
+    G = build_named_group(group)
+    H = parse_subgroup(G, sub)
+    return [induced_right_loop(t) for t in enumerate_transversals(G, H)]
+
+
+def relabelled(loop, sigma):
+    """The copy of loop that the bijection sigma (fixing 0) carries it to."""
+    n = loop.order
+    inv = invert(sigma)
+    t = loop.table
+    return validate_right_loop(
+        [[sigma[t[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "group, sub", [("dihedral:7", "x"), ("alt:4", "(1,2)(3,4)")]
+)
+def test_relabelling_and_principal_isotope_land_in_the_class(group, sub, seed):
+    rng = random.Random(seed)
+    loops = transversal_loops(group, sub)
+    k = rng.randrange(len(loops))
+    loop = loops[k]
+    rest = list(range(1, loop.order))
+    rng.shuffle(rest)
+    image = relabelled(loop, (0, *rest))
+    a = rng.choice(left_nonsingular_elements(loop))
+    isotope = principal_isotope(loop, a, rng.randrange(loop.order))
+    for target in (image, isotope):
+        witness = are_isotopic(loop, target)
+        assert witness is not None and witness.verify(loop, target)
+    f = are_isomorphic(loop, image)
+    assert f is not None and IsotopyWitness(f, f, f).verify(loop, image)
+
+    n = len(loops)
+    part = classify(loops + [image, isotope], "isotopy")
+    assert part.class_of(n) == part.class_of(n + 1) == part.class_of(k)
+    part = classify(loops + [image], "iso")
+    assert part.class_of(n) == part.class_of(k)
+
+
+def test_classify_does_not_depend_on_input_order():
+    loops = transversal_loops("dihedral:7", "x")
+    order = list(range(len(loops)))
+    random.Random(7).shuffle(order)
+
+    def classes(part, original):
+        return {
+            frozenset(original[m] for m in members): rep.table
+            for members, rep in zip(part.classes, part.representatives)
+        }
+
+    for relation in ("iso", "isotopy"):
+        base = classify(loops, relation)
+        shuffled = classify([loops[i] for i in order], relation)
+        assert classes(shuffled, order) == classes(base, range(len(loops)))
 
 
 def test_classify_serialization():

@@ -12,7 +12,6 @@ from nrtloops.perms import (
     invert,
     is_permutation,
     parse_cycles,
-    perm_order,
     perm_parity,
 )
 
@@ -59,12 +58,6 @@ def test_cycle_decomposition_and_type():
     assert cycle_count(p) == 3
     assert cycle_count(identity_perm(5)) == 5
     assert cycle_type(identity_perm(4)) == ((1, 4),)
-
-
-def test_perm_order():
-    assert perm_order(identity_perm(6)) == 1
-    assert perm_order((1, 0, 3, 4, 2, 5)) == 6
-    assert perm_order((1, 2, 0)) == 3
 
 
 def test_perm_parity():
