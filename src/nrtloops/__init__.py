@@ -23,7 +23,6 @@ from .burnside import (
     is_prime,
     subset_orbit_count,
     subset_orbit_count_naive,
-    subset_orbits,
 )
 from .checks import (
     CHECK_IDS,
@@ -52,7 +51,6 @@ from .groups import (
     Subgroup,
     alternating_group,
     build_named_group,
-    center,
     core,
     cyclic_group,
     derived_subgroup,
@@ -70,7 +68,6 @@ from .groups import (
     right_cosets,
     subgroup,
     symmetric_group,
-    trivial_subgroup,
 )
 from .isotopy import (
     AutotopyGroup,
@@ -84,7 +81,6 @@ from .isotopy import (
     brute_force_isotopy_oracle,
     classify,
     isomorphisms,
-    principal_isotope,
     principal_isotope_with_relabel,
     pseudo_automorphism_check,
     pseudo_autotopy_triple,

@@ -298,35 +298,3 @@ def subset_orbit_count_naive(p: int) -> int:
     if total % len(maps) != 0:
         raise ArithmeticError("orbit average is not an integer")
     return total // len(maps)
-
-
-def subset_orbits(p: int) -> list[tuple[int, ...]]:
-    """Explicit orbits of subsets (as bitmasks) under all affine maps,
-    ordered by least member; each orbit is a sorted mask tuple."""
-    _require_odd_prime(p)
-    if p > NAIVE_SCAN_CAP:
-        raise ValueError(f"subset_orbits is capped at p = {NAIVE_SCAN_CAP}")
-    perms = [m.permutation for m in affine_maps(p)]
-    seen = [False] * (1 << p)
-    orbits = []
-    for start in range(1 << p):
-        if seen[start]:
-            continue
-        orbit = set()
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            mask = frontier.pop()
-            orbit.add(mask)
-            for perm in perms:
-                image = 0
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    image |= 1 << perm[low.bit_length() - 1]
-                    rest ^= low
-                if not seen[image]:
-                    seen[image] = True
-                    frontier.append(image)
-        orbits.append(tuple(sorted(orbit)))
-    return orbits

@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .burnside import dihedral_isotopy_count, subset_orbit_count
 from .flips import FlipSet, affine_families, affine_family, flip_loop
@@ -35,6 +36,7 @@ from .isotopy import (
     are_isotopic,
     autotopy_group,
     classify,
+    isomorphisms,
     pseudo_automorphism_check,
     pseudo_autotopy_triple,
 )
@@ -275,35 +277,21 @@ class _EntryData:
         self.entry = entry
         self.group = build_named_group(entry.group)
         self.subgroup = parse_subgroup(self.group, entry.subgroup)
-        self._transversals = None
-        self._loops = None
         self._partitions = {}
-        self._autotopies = {}
 
-    @property
+    @cached_property
     def transversals(self):
-        if self._transversals is None:
-            self._transversals = tuple(
-                enumerate_transversals(self.group, self.subgroup)
-            )
-        return self._transversals
+        return tuple(enumerate_transversals(self.group, self.subgroup))
 
-    @property
+    @cached_property
     def loops(self):
-        if self._loops is None:
-            self._loops = tuple(induced_right_loop(t) for t in self.transversals)
-        return self._loops
+        return tuple(induced_right_loop(t) for t in self.transversals)
 
     def partition(self, relation: str):
         if relation not in self._partitions:
             labels = tuple(t.label() for t in self.transversals)
             self._partitions[relation] = classify(self.loops, relation, labels)
         return self._partitions[relation]
-
-    def autotopies(self, loop):
-        if loop.table not in self._autotopies:
-            self._autotopies[loop.table] = autotopy_group(loop)
-        return self._autotopies[loop.table]
 
 
 def _quotient_pair_data(data: _EntryData):
@@ -349,43 +337,30 @@ def _check_facts(data: _EntryData) -> CheckReport:
 
 def _check_prop32(data: _EntryData) -> CheckReport:
     """Isotopic right loops have equally many left non-singular elements,
-    and a loop is isotopic only to loops."""
+    so a loop is isotopic only to loops. Classification compares a loop only
+    with classes of its own count, so the check covers the pairs it skips:
+    the first members of two classes with different counts are not
+    isotopic."""
     partition = data.partition("isotopy")
-    loops = data.loops
-    profiles = []
-    for members in partition.classes:
-        rep = loops[members[0]]
-        rep_count = len(left_nonsingular_elements(rep))
-        rep_is_loop = structure_flags(rep).is_loop
-        profiles.append({"size": len(members), "lns": rep_count, "loop": rep_is_loop})
-        for m in members[1:]:
-            other = loops[m]
-            witness = are_isotopic(rep, other)
-            if witness is None:
-                return CheckReport(
-                    "prop3.2",
-                    data.entry.label,
-                    "fail",
-                    {"broken_class": partition.labels[m]},
-                )
-            if len(left_nonsingular_elements(other)) != rep_count:
-                return CheckReport(
-                    "prop3.2",
-                    data.entry.label,
-                    "fail",
-                    {
-                        "counterexample": partition.labels[m],
-                        "lns_rep": rep_count,
-                        "lns_other": len(left_nonsingular_elements(other)),
-                    },
-                )
-            if structure_flags(other).is_loop != rep_is_loop:
-                return CheckReport(
-                    "prop3.2",
-                    data.entry.label,
-                    "fail",
-                    {"loop_flag_broken": partition.labels[m]},
-                )
+    firsts = [data.loops[members[0]] for members in partition.classes]
+    counts = [len(left_nonsingular_elements(loop)) for loop in firsts]
+    for i, j in itertools.combinations(range(len(firsts)), 2):
+        if counts[i] == counts[j]:
+            continue
+        if are_isotopic(firsts[i], firsts[j]) is not None:
+            return CheckReport(
+                "prop3.2",
+                data.entry.label,
+                "fail",
+                {
+                    "first": partition.labels[partition.classes[i][0]],
+                    "second": partition.labels[partition.classes[j][0]],
+                },
+            )
+    profiles = [
+        {"size": len(members), "lns": count, "loop": count == loop.order}
+        for members, count, loop in zip(partition.classes, counts, firsts)
+    ]
     return CheckReport(
         "prop3.2", data.entry.label, "pass", {"classes": profiles}
     )
@@ -448,20 +423,24 @@ def _check_prop37(data: _EntryData) -> CheckReport | None:
     return CheckReport("prop3.7", data.entry.label, "pass", details)
 
 
+def _one_class_forces_normality(check_id: str, data: _EntryData) -> CheckReport:
+    itp = len(data.partition("isotopy").classes)
+    if itp != 1:
+        return CheckReport(check_id, data.entry.label, "vacuous", {"itp": itp})
+    normal = is_normal(data.group, data.subgroup)
+    verdict = "pass" if normal else "fail"
+    return CheckReport(
+        check_id, data.entry.label, verdict, {"itp": itp, "normal": normal}
+    )
+
+
 def _check_prop38(data: _EntryData) -> CheckReport | None:
     """For a solvable group with |H| coprime to the index, a single isotopy
     class forces normality."""
     index = data.group.order // data.subgroup.order
     if not (is_solvable(data.group) and math.gcd(data.subgroup.order, index) == 1):
         return None
-    itp = len(data.partition("isotopy").classes)
-    if itp != 1:
-        return CheckReport("prop3.8", data.entry.label, "vacuous", {"itp": itp})
-    normal = is_normal(data.group, data.subgroup)
-    verdict = "pass" if normal else "fail"
-    return CheckReport(
-        "prop3.8", data.entry.label, verdict, {"itp": itp, "normal": normal}
-    )
+    return _one_class_forces_normality("prop3.8", data)
 
 
 def _check_cor38(data: _EntryData) -> CheckReport | None:
@@ -469,14 +448,7 @@ def _check_cor38(data: _EntryData) -> CheckReport | None:
     normality."""
     if not _is_squarefree(data.group.order):
         return None
-    itp = len(data.partition("isotopy").classes)
-    if itp != 1:
-        return CheckReport("cor3.8", data.entry.label, "vacuous", {"itp": itp})
-    normal = is_normal(data.group, data.subgroup)
-    verdict = "pass" if normal else "fail"
-    return CheckReport(
-        "cor3.8", data.entry.label, verdict, {"itp": itp, "normal": normal}
-    )
+    return _one_class_forces_normality("cor3.8", data)
 
 
 def _check_prop39() -> list[CheckReport]:
@@ -544,13 +516,13 @@ def _check_prop39() -> list[CheckReport]:
     return reports
 
 
-def _aut_transitive(data: _EntryData, loop) -> bool:
+def _aut_transitive(loop) -> bool:
     """Whether the automorphism group acts transitively on the non-identity
     positions."""
     n = loop.order
     if n <= 2:
         return True
-    maps = data.autotopies(loop).automorphisms
+    maps = tuple(isomorphisms(loop, loop))
     reached = {1}
     frontier = [1]
     while frontier:
@@ -571,7 +543,7 @@ def _check_thm312(data: _EntryData) -> CheckReport:
     pairs = 0
     transitive_total = 0
     for members in partition.classes:
-        transitive = [m for m in members if _aut_transitive(data, loops[m])]
+        transitive = [m for m in members if _aut_transitive(loops[m])]
         transitive_total += len(transitive)
         for a, b in itertools.combinations(transitive, 2):
             pairs += 1

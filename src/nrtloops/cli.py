@@ -286,7 +286,7 @@ def cmd_dihedral(args) -> int:
             family = sorted(affine_family(p, picked), key=lambda s: s.mask)
             families = (tuple(family),)
         else:
-            families = affine_families(p)
+            families = affine_families(p, cap=args.cap)
         if args.format == "json":
             _emit_json(args, families_json_obj(p, families))
         elif args.format == "csv":

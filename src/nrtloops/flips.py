@@ -69,10 +69,6 @@ class FlipSet:
             result |= 1 << b
         return result
 
-    def complement(self) -> frozenset:
-        """All residues mod n outside the set; always contains 0."""
-        return frozenset(range(self.n)) - self._member_set
-
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "FlipSet":
         return cls(n, tuple(i for i in range(n) if mask >> i & 1))
@@ -212,13 +208,19 @@ def affine_family(p: int, B) -> frozenset[FlipSet]:
     return frozenset(family)
 
 
-def affine_families(p: int) -> tuple[tuple[FlipSet, ...], ...]:
+def affine_families(
+    p: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[tuple[FlipSet, ...], ...]:
     """Partition of all subsets of the nonzero residues mod p into isotopy
-    families, ordered by least member mask; families are sorted by mask."""
+    families, ordered by least member mask; families are sorted by mask.
+    Raises EnumerationTooLargeError when the 2^(p-1) subsets exceed cap."""
     _require_odd_prime(p)
+    total = 1 << (p - 1)
+    if total > cap:
+        raise EnumerationTooLargeError(total, cap)
     assigned: dict[int, int] = {}
     families = []
-    for mask in range(1 << (p - 1)):
+    for mask in range(total):
         if mask in assigned:
             continue
         B = FlipSet.from_mask(p, mask << 1)

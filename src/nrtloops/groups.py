@@ -113,11 +113,6 @@ class FiniteGroup:
     def __repr__(self):
         return f"FiniteGroup({self.kind}, order={self.order})"
 
-    @classmethod
-    def from_rows(cls, rows, names=None, kind="table") -> "FiniteGroup":
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        return cls(len(rows), rows, tuple(names) if names else None, kind)
-
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
@@ -145,9 +140,6 @@ class FiniteGroup:
 
     def name_of(self, a: int) -> str:
         return self.names[a] if self.names else str(a)
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def assert_valid(self) -> None:
         """Full validation including the O(n^3) associativity scan."""
@@ -214,10 +206,6 @@ def generated_subgroup(G: FiniteGroup, generators) -> Subgroup:
     return Subgroup(G, tuple(sorted(members)))
 
 
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, (0,))
-
-
 @dataclass(frozen=True)
 class CosetDecomposition:
     """Right cosets Hg of a subgroup. Coset 0 is H itself; the rest are
@@ -276,15 +264,6 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]
         for i in range(k)
     )
     return FiniteGroup(k, table, None, "quotient"), dec.coset_of
-
-
-def center(G: FiniteGroup) -> Subgroup:
-    members = [
-        a
-        for a in range(G.order)
-        if all(G.mul(a, b) == G.mul(b, a) for b in range(G.order))
-    ]
-    return Subgroup(G, tuple(members))
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:

@@ -180,48 +180,47 @@ def are_isomorphic(L1: RightLoop, L2: RightLoop) -> tuple[int, ...] | None:
 
 def principal_isotope_with_relabel(
     loop: RightLoop, a: int, b: int
-) -> tuple[RightLoop, tuple[int, ...]]:
+) -> tuple[RightLoop, IsotopyWitness]:
     """The principal isotope x . y = R(b)^-1(x) * L(a)^-1(y), relabeled by
-    swapping its identity a*b with 0. Returns (isotope, relabel) where
-    relabel is the self-inverse swap applied to positions."""
+    the swap s of its identity a*b with 0. Returns (isotope, principal),
+    where principal = (s o R(b), s o L(a), s) is the isotopy from loop onto
+    the isotope."""
     n = loop.order
     t = loop.table
     if set(t[a]) != set(range(n)):
         raise NotLeftNonsingularError(f"element {a} has a non-bijective row")
-    rb_inv = invert(loop.columns[b])
-    la_inv = invert(t[a])
-    raw = [[t[rb_inv[x]][la_inv[y]] for y in range(n)] for x in range(n)]
     e = t[a][b]
     swap = list(range(n))
     swap[0], swap[e] = e, 0
-    relabeled = tuple(
-        tuple(swap[raw[swap[x]][swap[y]]] for y in range(n)) for x in range(n)
+    principal = IsotopyWitness(
+        tuple(swap[v] for v in loop.columns[b]),
+        tuple(swap[v] for v in t[a]),
+        tuple(swap),
     )
-    return validate_right_loop(relabeled), tuple(swap)
-
-
-def principal_isotope(loop: RightLoop, a: int, b: int) -> RightLoop:
-    return principal_isotope_with_relabel(loop, a, b)[0]
+    # the isotope is the image of the table: alpha(x) . beta(y) = s(x * y)
+    rows = [[0] * n for _ in range(n)]
+    for ax, tx in zip(principal.alpha, t):
+        row = rows[ax]
+        for by, v in zip(principal.beta, tx):
+            row[by] = swap[v]
+    return validate_right_loop(rows), principal
 
 
 def are_isotopic(L1: RightLoop, L2: RightLoop) -> IsotopyWitness | None:
     """Search all principal isotopes of L1 for an isomorphic copy of L2 and
-    compose the factorization into a witness from L1 to L2."""
+    compose the principal isotopy with that isomorphism into a witness from
+    L1 to L2."""
     n = L1.order
     if L2.order != n:
         return None
-    t1 = L1.table
     for a in left_nonsingular_elements(L1):
         for b in range(n):
-            isotope, relabel = principal_isotope_with_relabel(L1, a, b)
+            isotope, principal = principal_isotope_with_relabel(L1, a, b)
             f = are_isomorphic(L2, isotope)
             if f is None:
                 continue
             f_inv = invert(f)
-            alpha = tuple(f_inv[relabel[t1[x][b]]] for x in range(n))
-            beta = tuple(f_inv[relabel[t1[a][y]]] for y in range(n))
-            gamma = tuple(f_inv[relabel[z]] for z in range(n))
-            witness = IsotopyWitness(alpha, beta, gamma)
+            witness = principal.then(IsotopyWitness(f_inv, f_inv, f_inv))
             if not witness.verify(L1, L2):
                 raise AssertionError("composed isotopy witness failed verification")
             return witness
@@ -415,33 +414,23 @@ def autotopy_group(loop: RightLoop) -> AutotopyGroup:
         raise OrderTooLargeError(
             f"autotopy enumeration is capped at order {AUTOTOPY_ORDER_CAP}, got {n}"
         )
-    t = loop.table
     found = set()
     for a in left_nonsingular_elements(loop):
-        la_inv = invert(t[a])
         for b in range(n):
-            rb_inv = invert(loop.columns[b])
-            isotope, relabel = principal_isotope_with_relabel(loop, a, b)
+            isotope, principal = principal_isotope_with_relabel(loop, a, b)
+            back = principal.inverse()
             for f in isomorphisms(loop, isotope):
-                alpha = tuple(rb_inv[relabel[f[x]]] for x in range(n))
-                beta = tuple(la_inv[relabel[f[x]]] for x in range(n))
-                gamma = tuple(relabel[f[x]] for x in range(n))
-                found.add((alpha, beta, gamma))
-    witnesses = []
-    for alpha, beta, gamma in sorted(found):
-        w = IsotopyWitness(alpha, beta, gamma)
+                found.add(IsotopyWitness(f, f, f).then(back))
+    witnesses = sorted(found, key=lambda w: (w.alpha, w.beta, w.gamma))
+    for w in witnesses:
         if not w.verify(loop, loop):
             raise AssertionError("constructed autotopy failed verification")
-        witnesses.append(w)
-    triples = found
-    for w1 in witnesses:
-        if (invert(w1.alpha), invert(w1.beta), invert(w1.gamma)) not in triples:
+        if w.inverse() not in found:
             raise AssertionError("autotopy set is not closed under inversion")
     # closure under composition; quadratic but the order cap keeps it small
     for w1 in witnesses:
         for w2 in witnesses:
-            w = w1.then(w2)
-            if (w.alpha, w.beta, w.gamma) not in triples:
+            if w1.then(w2) not in found:
                 raise AssertionError("autotopy set is not closed under composition")
     return AutotopyGroup(loop, tuple(witnesses))
 

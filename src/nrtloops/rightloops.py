@@ -71,12 +71,6 @@ class RightLoop:
     def __repr__(self):
         return f"RightLoop(order={self.order})"
 
-    def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-    def row(self, x: int) -> tuple[int, ...]:
-        return self.table[x]
-
     def column(self, y: int) -> tuple[int, ...]:
         return tuple(self.table[x][y] for x in range(self.order))
 

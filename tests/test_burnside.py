@@ -22,7 +22,6 @@ from nrtloops.burnside import (
     is_prime,
     subset_orbit_count,
     subset_orbit_count_naive,
-    subset_orbits,
 )
 
 ODD_PRIMES_TO_CAP = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -183,25 +182,6 @@ def test_naive_scan_agrees():
     assert NAIVE_SCAN_CAP == 13
     with pytest.raises(ValueError, match="capped"):
         subset_orbit_count_naive(17)
-
-
-def test_subset_orbits():
-    assert subset_orbits(3) == [(0,), (1, 2, 4), (3, 5, 6), (7,)]
-    for p in (3, 5, 7):
-        orbits = subset_orbits(p)
-        assert len(orbits) == subset_orbit_count(p)
-        assert sum(len(o) for o in orbits) == 1 << p
-        # orbits are closed: applying any map permutes each orbit
-        perms = [m.permutation for m in affine_maps(p)]
-        for orbit in orbits:
-            members = set(orbit)
-            for mask in orbit:
-                for perm in perms:
-                    image = 0
-                    for i in range(p):
-                        if mask >> i & 1:
-                            image |= 1 << perm[i]
-                    assert image in members
 
 
 def test_affine_prime_cap_constant():

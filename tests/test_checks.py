@@ -14,6 +14,7 @@ from nrtloops.checks import (
     run_suite,
     suite_passed,
 )
+from nrtloops.isotopy import IsotopyWitness
 
 EXPECTED_LABELS = [
     "sym3-point-swap",
@@ -208,3 +209,17 @@ def test_wrong_fact_is_reported(tmp_path):
         "isotopy_classes": {"expected": 3, "computed": 2}
     }
     assert not suite_passed(reports)
+
+
+def test_prop32_fails_when_counts_are_crossed(monkeypatch):
+    # classify puts the four sym:3 loops into two classes with 1 and 3 left
+    # non-singular elements; a wrong isotopy answer across them must fail
+    witness = IsotopyWitness.identity(3)
+    monkeypatch.setattr("nrtloops.checks.are_isotopic", lambda L1, L2: witness)
+    catalog = [e for e in default_catalog() if e.label == "sym3-point-swap"]
+    (report,) = run_suite(catalog=catalog, check_ids=["prop3.2"])
+    assert report.verdict == "fail"
+    assert report.details_dict() == {
+        "first": "I,(1,2),(1,2,3)",
+        "second": "I,(1,3,2),(1,2,3)",
+    }

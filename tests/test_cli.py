@@ -278,6 +278,12 @@ def test_dihedral_families_json():
     }
 
 
+def test_dihedral_families_cap_exits_three():
+    result = run_cli("dihedral", "families", "--p", "7", "--cap", "10")
+    assert result.returncode == 3
+    assert result.stderr == "error: 64 transversals exceed the cap of 10\n"
+
+
 def test_dihedral_census_text():
     result = run_cli("dihedral", "census", "--n", "4")
     assert result.returncode == 0

@@ -31,7 +31,6 @@ def test_flip_set_basics():
     assert 1 in B and 2 not in B
     assert B.mask == 0b01010
     assert FlipSet.from_mask(5, B.mask) == B
-    assert B.complement() == frozenset({0, 2, 4})
     assert B.format() == "{1,3}"
     assert FlipSet.parse(5, "1, 3") == B
     assert FlipSet.parse(5, "") == FlipSet(5, ())
@@ -55,9 +54,9 @@ def test_flip_loop_tables():
     assert flip_loop(3, (1,)).table == ((0, 1, 2), (1, 0, 0), (2, 2, 1))
     assert flip_loop(3, (1, 2)).table == ((0, 1, 2), (1, 0, 1), (2, 2, 0))
     five = flip_loop(5, (1,))
-    assert five.op(2, 1) == 4
-    assert five.op(2, 3) == 0
-    assert five.op(2, 0) == 2
+    assert five.table[2][1] == 4
+    assert five.table[2][3] == 0
+    assert five.table[2][0] == 2
     # empty flip set gives the cyclic group table
     for n in range(2, 8):
         loop = flip_loop(n, ())
@@ -183,6 +182,13 @@ def test_affine_families_partition():
     assert obj["n"] == 3
     assert [f["size"] for f in obj["families"]] == [1, 3]
     assert obj["families"][1]["members"] == [[1], [2], [1, 2]]
+
+
+def test_affine_families_cap():
+    # mod 7 there are 2^6 = 64 subsets to enumerate
+    with pytest.raises(EnumerationTooLargeError):
+        affine_families(7, cap=63)
+    assert len(affine_families(7, cap=64)) == 5
 
 
 def test_affine_families_agree_with_loop_isotopy():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from nrtloops.checks import default_catalog
 from nrtloops.groups import build_named_group, cyclic_group, parse_subgroup
 from nrtloops.isotopy import (
     AUTOTOPY_ORDER_CAP,
@@ -18,7 +19,6 @@ from nrtloops.isotopy import (
     brute_force_isotopy_oracle,
     classify,
     isomorphisms,
-    principal_isotope,
     principal_isotope_with_relabel,
     pseudo_automorphism_check,
     pseudo_autotopy_triple,
@@ -84,29 +84,29 @@ def test_are_isomorphic():
 
 def test_principal_isotope_identity_pair():
     for loop in loops4():
-        iso, relabel = principal_isotope_with_relabel(loop, 0, 0)
+        iso, principal = principal_isotope_with_relabel(loop, 0, 0)
         assert iso.table == loop.table
-        assert relabel == (0, 1, 2)
+        assert principal == IsotopyWitness.identity(3)
 
 
 def test_principal_isotope_of_a_group_is_the_group():
     z3 = validate_right_loop(T2)
     for a in range(3):
         for b in range(3):
-            assert principal_isotope(z3, a, b).table == z3.table
+            assert principal_isotope_with_relabel(z3, a, b)[0].table == z3.table
 
 
 def test_principal_isotope_requires_bijective_row():
     L3 = validate_right_loop(T3)
     with pytest.raises(NotLeftNonsingularError):
-        principal_isotope(L3, 1, 0)
+        principal_isotope_with_relabel(L3, 1, 0)
 
 
 def test_principal_isotopes_stay_isotopic():
     L3 = validate_right_loop(T3)
     for a in left_nonsingular_elements(L3):
         for b in range(3):
-            iso = principal_isotope(L3, a, b)
+            iso = principal_isotope_with_relabel(L3, a, b)[0]
             assert are_isotopic(iso, L3) is not None
 
 
@@ -187,7 +187,7 @@ def test_relabelling_and_principal_isotope_land_in_the_class(group, sub, seed):
     rng.shuffle(rest)
     image = relabelled(loop, (0, *rest))
     a = rng.choice(left_nonsingular_elements(loop))
-    isotope = principal_isotope(loop, a, rng.randrange(loop.order))
+    isotope = principal_isotope_with_relabel(loop, a, rng.randrange(loop.order))[0]
     for target in (image, isotope):
         witness = are_isotopic(loop, target)
         assert witness is not None and witness.verify(loop, target)
@@ -199,6 +199,32 @@ def test_relabelling_and_principal_isotope_land_in_the_class(group, sub, seed):
     assert part.class_of(n) == part.class_of(n + 1) == part.class_of(k)
     part = classify(loops + [image], "iso")
     assert part.class_of(n) == part.class_of(k)
+
+
+@pytest.mark.parametrize(
+    "group, sub", [("dihedral:7", "x"), ("alt:4", "(1,2)(3,4)")]
+)
+def test_principal_isotopy_carries_the_loop_onto_its_isotope(group, sub):
+    rng = random.Random(5)
+    loops = transversal_loops(group, sub)
+    for loop in rng.sample(loops, 6):
+        a = rng.choice(left_nonsingular_elements(loop))
+        b = rng.randrange(loop.order)
+        isotope, principal = principal_isotope_with_relabel(loop, a, b)
+        assert principal.verify(loop, isotope)
+        swap = list(range(loop.order))
+        e = loop.table[a][b]
+        swap[0], swap[e] = e, 0
+        assert principal.gamma == tuple(swap)
+
+
+def test_autotopy_automorphisms_are_the_isomorphisms_onto_itself():
+    rng = random.Random(11)
+    for entry in default_catalog():
+        loops = transversal_loops(entry.group, entry.subgroup)
+        for loop in rng.sample(loops, min(3, len(loops))):
+            automorphisms = autotopy_group(loop).automorphisms
+            assert sorted(automorphisms) == sorted(isomorphisms(loop, loop))
 
 
 def test_classify_does_not_depend_on_input_order():
