@@ -96,6 +96,7 @@ from .perms import (
     perm_parity,
 )
 from .rightloops import (
+    ClosureTooLargeError,
     ColumnNotBijectiveError,
     NotIdentityError,
     PermutationGroup,

@@ -230,14 +230,14 @@ def cmd_classify(args) -> int:
     G = build_named_group(args.group)
     H = parse_subgroup(G, args.subgroup)
     transversals = list(enumerate_transversals(G, H, cap=args.cap))
-    loops = [induced_right_loop(t) for t in transversals]
+    loops = (induced_right_loop(t) for t in transversals)
     labels = [t.label() for t in transversals]
     partition = classify(loops, args.relation, labels)
     if args.format == "json":
         obj = partition.to_json_obj()
         obj["group"] = args.group
         obj["subgroup"] = args.subgroup
-        obj["transversals"] = len(loops)
+        obj["transversals"] = len(transversals)
         obj["class_count"] = len(partition.classes)
         _emit_json(args, obj)
     elif args.format == "csv":
@@ -245,7 +245,7 @@ def cmd_classify(args) -> int:
     else:
         lines = [
             f"{len(partition.classes)} {args.relation} classes over "
-            f"{len(loops)} transversals of {args.subgroup} in {args.group}"
+            f"{len(transversals)} transversals of {args.subgroup} in {args.group}"
         ]
         for k, (rep, members) in enumerate(
             zip(partition.representatives, partition.classes)

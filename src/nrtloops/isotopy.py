@@ -129,15 +129,12 @@ def _propagate(t1, t2, f, used, sig1, sig2) -> bool:
             return True
 
 
-def isomorphisms(L1: RightLoop, L2: RightLoop):
-    """Yield every isomorphism f: L1 -> L2 (as an image tuple, f[0] = 0)."""
-    n = L1.order
-    if L2.order != n:
+def _isomorphisms(t1, t2, sig1, sig2):
+    """Yield every isomorphism from the table t1 onto the table t2 (as an
+    image tuple, f[0] = 0), given the tables' element signatures."""
+    n = len(t1)
+    if sig1[0] != sig2[0]:
         return
-    sig1, sig2 = _signatures(L1), _signatures(L2)
-    if sorted(sig1) != sorted(sig2) or sig1[0] != sig2[0]:
-        return
-    t1, t2 = L1.table, L2.table
     candidates = [
         tuple(c for c in range(n) if sig2[c] == sig1[x]) for x in range(n)
     ]
@@ -167,6 +164,15 @@ def isomorphisms(L1: RightLoop, L2: RightLoop):
     used0[0] = True
     if _propagate(t1, t2, f0, used0, sig1, sig2):
         yield from extend(f0, used0)
+
+
+def isomorphisms(L1: RightLoop, L2: RightLoop):
+    """Yield every isomorphism f: L1 -> L2 (as an image tuple, f[0] = 0)."""
+    if L2.order != L1.order:
+        return
+    sig1, sig2 = _signatures(L1), _signatures(L2)
+    if sorted(sig1) == sorted(sig2):
+        yield from _isomorphisms(L1.table, L2.table, sig1, sig2)
 
 
 def are_isomorphic(L1: RightLoop, L2: RightLoop) -> tuple[int, ...] | None:
@@ -209,10 +215,12 @@ def principal_isotope_with_relabel(
 def are_isotopic(L1: RightLoop, L2: RightLoop) -> IsotopyWitness | None:
     """Search all principal isotopes of L1 for an isomorphic copy of L2 and
     compose the principal isotopy with that isomorphism into a witness from
-    L1 to L2."""
+    L1 to L2. Equal tables are related by the identity at once."""
     n = L1.order
     if L2.order != n:
         return None
+    if L1.table == L2.table:
+        return _verified(IsotopyWitness.identity(n), L1, L2)
     for a in left_nonsingular_elements(L1):
         for b in range(n):
             isotope, principal = principal_isotope_with_relabel(L1, a, b)
@@ -221,10 +229,14 @@ def are_isotopic(L1: RightLoop, L2: RightLoop) -> IsotopyWitness | None:
                 continue
             f_inv = invert(f)
             witness = principal.then(IsotopyWitness(f_inv, f_inv, f_inv))
-            if not witness.verify(L1, L2):
-                raise AssertionError("composed isotopy witness failed verification")
-            return witness
+            return _verified(witness, L1, L2)
     return None
+
+
+def _verified(witness: IsotopyWitness, source: RightLoop, target: RightLoop):
+    if not witness.verify(source, target):
+        raise AssertionError("isotopy witness failed verification")
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -313,48 +325,75 @@ class ClassPartition:
         return rows
 
 
-def _relation_test(relation: str):
+def _is_isotopy(relation: str) -> bool:
     if relation in ("iso", "isomorphism"):
-        return are_isomorphic
+        return False
     if relation == "isotopy":
-        return are_isotopic
+        return True
     raise ValueError(f"unknown relation {relation!r} (expected 'iso' or 'isotopy')")
 
 
 def classify(loops, relation: str = "isotopy", labels=None) -> ClassPartition:
     """Partition same-order right loops into equivalence classes in one
-    pass over the input. Each loop is compared only with the first member of
-    each earlier class that has as many left non-singular elements, a count
-    that both relations preserve (Prop 3.2). Classes come out in order of
-    their least member; the representative is the member with the
+    pass over any iterable of them.
+
+    The loop that opens a class enters its targets into an index: itself
+    under 'iso', and under 'isotopy' its principal isotopes, since a loop
+    is isotopic to it exactly when isomorphic to one of them. A further loop
+    is settled by looking its table up among the targets, or else by an
+    isomorphism search against the targets that share its sorted element
+    signatures, an isomorphism invariant. Only class members, the current
+    representatives and the index are kept. Classes come out in order of
+    their least member; the representative is the first member with the
     lexicographically least table."""
-    loops = tuple(loops)
-    test = _relation_test(relation)
+    isotopy = _is_isotopy(relation)
+    classes: list[list[int]] = []
+    representatives: list[RightLoop] = []
+    exact: dict[tuple, int] = {}  # target table -> class
+    index: dict[tuple, list] = {}  # sorted signatures -> (class, table, signatures)
+    for i, loop in enumerate(loops):
+        if representatives and loop.order != representatives[0].order:
+            raise ValueError("classification requires loops of equal order")
+        k = exact.get(loop.table)
+        if k is None:
+            sigs = _signatures(loop)
+            for c, table, target_sigs in index.get(tuple(sorted(sigs)), ()):
+                if next(_isomorphisms(loop.table, table, sigs, target_sigs), None):
+                    k = c
+                    break
+        if k is not None:
+            classes[k].append(i)
+            if loop.table < representatives[k].table:
+                representatives[k] = loop
+            continue
+        k = len(classes)
+        classes.append([i])
+        representatives.append(loop)
+        if isotopy:
+            targets = (
+                principal_isotope_with_relabel(loop, a, b)[0]
+                for a in left_nonsingular_elements(loop)
+                for b in range(loop.order)
+            )
+        else:
+            targets = (loop,)
+        for target in targets:
+            if target.table not in exact:
+                exact[target.table] = k
+                target_sigs = _signatures(target)
+                index.setdefault(tuple(sorted(target_sigs)), []).append(
+                    (k, target.table, target_sigs)
+                )
+    count = sum(map(len, classes))
     if labels is None:
-        labels = tuple(str(i) for i in range(len(loops)))
+        labels = tuple(str(i) for i in range(count))
     else:
         labels = tuple(labels)
-        if len(labels) != len(loops):
+        if len(labels) != count:
             raise ValueError("one label per loop required")
-    if loops and any(l.order != loops[0].order for l in loops):
-        raise ValueError("classification requires loops of equal order")
-
-    classes: list[list[int]] = []
-    by_count: dict[int, list[list[int]]] = {}
-    for i, loop in enumerate(loops):
-        candidates = by_count.setdefault(len(left_nonsingular_elements(loop)), [])
-        for members in candidates:
-            if test(loops[members[0]], loop) is not None:
-                members.append(i)
-                break
-        else:
-            new_class = [i]
-            candidates.append(new_class)
-            classes.append(new_class)
-    representatives = tuple(
-        min((loops[i] for i in members), key=lambda l: l.table) for members in classes
+    return ClassPartition(
+        relation, labels, tuple(map(tuple, classes)), tuple(representatives)
     )
-    return ClassPartition(relation, labels, tuple(map(tuple, classes)), representatives)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ element is left non-singular, and a group when it is additionally
 associative.
 
 ``group_torsion`` computes the permutation group generated by the defect
-maps R(x*y)^-1 R(y) R(x); it is trivial exactly on group tables.
+maps R(x*y)^-1 R(y) R(x), up to a cap on its order; it is trivial exactly
+on group tables.
 """
 
 from __future__ import annotations
@@ -133,8 +134,25 @@ class PermutationGroup:
         return len(self.elements)
 
 
-def close_permutations(degree: int, generators) -> PermutationGroup:
-    """Work-queue closure of a generator set inside the symmetric group."""
+# Bounds a closure's memory: S_8 (40320 elements, the torsion of a typical
+# right loop of order 9) fits, S_9 (362880) does not.
+CLOSURE_CAP = 1 << 18
+
+
+class ClosureTooLargeError(RuntimeError):
+    def __init__(self, degree: int, cap: int):
+        super().__init__(
+            f"the permutation group on {degree} points has more than {cap} elements"
+        )
+        self.degree = degree
+        self.cap = cap
+
+
+def close_permutations(
+    degree: int, generators, cap: int = CLOSURE_CAP
+) -> PermutationGroup:
+    """Work-queue closure of a generator set inside the symmetric group.
+    Raises ClosureTooLargeError before the element set grows past cap."""
     gens = tuple(dict.fromkeys(tuple(g) for g in generators))
     identity = tuple(range(degree))
     elements = {identity}
@@ -144,15 +162,17 @@ def close_permutations(degree: int, generators) -> PermutationGroup:
         for g in gens:
             q = compose(g, p)
             if q not in elements:
+                if len(elements) >= cap:
+                    raise ClosureTooLargeError(degree, cap)
                 elements.add(q)
                 queue.append(q)
     return PermutationGroup(degree, gens, frozenset(elements))
 
 
-def group_torsion(loop: RightLoop) -> PermutationGroup:
+def group_torsion(loop: RightLoop, cap: int = CLOSURE_CAP) -> PermutationGroup:
     """Permutation group generated by R(x*y)^-1 R(y) R(x) over all pairs,
     where R(y) is the column map and R(x) acts first. Trivial exactly when
-    the table is a group."""
+    the table is a group. Raises ClosureTooLargeError past cap elements."""
     cols = loop.columns
     inv_cols = tuple(invert(c) for c in cols)
     gens = set()
@@ -160,6 +180,6 @@ def group_torsion(loop: RightLoop) -> PermutationGroup:
         rx = cols[x]
         for y in range(loop.order):
             gens.add(compose(inv_cols[loop.table[x][y]], compose(cols[y], rx)))
-    return close_permutations(loop.order, sorted(gens))
+    return close_permutations(loop.order, sorted(gens), cap)
 
 

@@ -5,7 +5,10 @@ import random
 
 import pytest
 
+from nrtloops import isotopy
+from nrtloops.burnside import dihedral_isotopy_count
 from nrtloops.checks import default_catalog
+from nrtloops.flips import affine_families, dihedral_transversal
 from nrtloops.groups import build_named_group, cyclic_group, parse_subgroup
 from nrtloops.isotopy import (
     AUTOTOPY_ORDER_CAP,
@@ -118,6 +121,17 @@ def test_are_isotopic():
     assert are_isotopic(L2, L3) is None
     assert are_isotopic(L2, L0) is None
     assert are_isotopic(L2, validate_right_loop([[0, 1], [1, 0]])) is None
+
+
+def test_are_isotopic_on_equal_tables_builds_no_isotope(monkeypatch):
+    def no_isotope(*args):
+        raise AssertionError("an isotope was built")
+
+    monkeypatch.setattr(isotopy, "principal_isotope_with_relabel", no_isotope)
+    for entry in default_catalog():
+        loop = transversal_loops(entry.group, entry.subgroup)[-1]
+        copy = validate_right_loop(loop.table)
+        assert are_isotopic(loop, copy) == IsotopyWitness.identity(loop.order)
 
 
 def test_oracle_agreement_on_three_points():
@@ -244,6 +258,69 @@ def test_classify_does_not_depend_on_input_order():
         assert classes(shuffled, order) == classes(base, range(len(loops)))
 
 
+def reference_scan(loops, relation):
+    """The scan classify made before its index: each loop is compared with
+    the first member of each earlier class with as many left non-singular
+    elements (Prop 3.2)."""
+    test = are_isotopic if relation == "isotopy" else are_isomorphic
+    classes, by_count = [], {}
+    for i, loop in enumerate(loops):
+        candidates = by_count.setdefault(len(left_nonsingular_elements(loop)), [])
+        for members in candidates:
+            if test(loops[members[0]], loop) is not None:
+                members.append(i)
+                break
+        else:
+            candidates.append([i])
+            classes.append(candidates[-1])
+    reps = [min((loops[i] for i in m), key=lambda l: l.table) for m in classes]
+    return tuple(map(tuple, classes)), reps
+
+
+@pytest.mark.parametrize("relation", ["iso", "isotopy"])
+@pytest.mark.parametrize(
+    "group, sub, seed",
+    [("dihedral:7", "x", None), ("alt:4", "(1,2)(3,4)", None), ("dihedral:6", "y^3 x", 3)],
+)
+def test_classify_matches_the_reference_scan(group, sub, seed, relation):
+    loops = transversal_loops(group, sub)
+    if seed is not None:
+        random.Random(seed).shuffle(loops)
+    classes, reps = reference_scan(loops, relation)
+    part = classify(loops, relation)
+    assert part.classes == classes
+    assert all(a is b for a, b in zip(part.representatives, reps, strict=True))
+
+
+def test_classify_takes_any_iterable():
+    loops = transversal_loops("dihedral:7", "x")
+    for relation in ("iso", "isotopy"):
+        part = classify(tuple(loops), relation)
+        assert classify((loop for loop in loops), relation) == part
+        assert len(part.labels) == len(loops)
+
+
+def test_dihedral_eleven_isotopy_classes_are_the_affine_families():
+    p = 11
+    G = build_named_group(f"dihedral:{p}")
+    transversals = list(enumerate_transversals(G, parse_subgroup(G, "x")))
+    part = classify((induced_right_loop(t) for t in transversals), "isotopy")
+    got = {frozenset(transversals[i].reps for i in members) for members in part.classes}
+    want = {
+        frozenset(dihedral_transversal(p, B).reps for B in family)
+        for family in affine_families(p)
+    }
+    assert got == want
+    assert len(part.classes) == dihedral_isotopy_count(p) == 15
+
+
+def test_sym4_point_stabiliser_class_counts():
+    loops = transversal_loops("sym:4", "(1,2)")
+    assert len(loops) == 2048
+    assert len(classify(loops, "iso").classes) == 576
+    assert len(classify(loops, "isotopy").classes) == 76
+
+
 def test_classify_serialization():
     labels = ("a", "b", "c", "d")
     part = classify(loops4(), relation="isotopy", labels=labels)
@@ -263,9 +340,14 @@ def test_classify_argument_errors():
         classify(loops4(), relation="homotopy")
     with pytest.raises(ValueError, match="label"):
         classify(loops4(), labels=("a",))
+    with pytest.raises(ValueError, match="label"):
+        classify(iter(loops4()), labels=("a",))
     with pytest.raises(ValueError, match="equal order"):
         classify([validate_right_loop(T0), validate_right_loop([[0, 1], [1, 0]])])
+    with pytest.raises(ValueError, match="equal order"):
+        classify(iter([validate_right_loop(T0), validate_right_loop([[0, 1], [1, 0]])]))
     assert classify([]).classes == ()
+    assert classify(iter(())).labels == ()
 
 
 def test_autotopy_group_of_cyclic_three():

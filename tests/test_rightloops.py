@@ -3,6 +3,7 @@
 import pytest
 
 from nrtloops.rightloops import (
+    ClosureTooLargeError,
     ColumnNotBijectiveError,
     NotIdentityError,
     RightLoop,
@@ -125,6 +126,15 @@ def test_close_permutations():
     assert full.order == 6
     # duplicate generators collapse
     assert close_permutations(3, [(1, 0, 2), (1, 0, 2)]).generators == ((1, 0, 2),)
+
+
+def test_close_permutations_cap():
+    s3 = [(1, 0, 2), (1, 2, 0)]
+    assert close_permutations(3, s3, cap=6).order == 6
+    with pytest.raises(ClosureTooLargeError):
+        close_permutations(3, s3, cap=5)
+    with pytest.raises(ClosureTooLargeError):
+        group_torsion(validate_right_loop(LOOPISH), cap=1)
 
 
 def test_torsion_detects_groups():
