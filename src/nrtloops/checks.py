@@ -336,11 +336,9 @@ def _check_facts(data: _EntryData) -> CheckReport:
 
 
 def _check_prop32(data: _EntryData) -> CheckReport:
-    """Isotopic right loops have equally many left non-singular elements,
-    so a loop is isotopic only to loops. Classification searches only
-    targets with the same sorted element signatures, which fix that count,
-    so the check covers the pairs it never compares: the first members of
-    two classes with different counts are not isotopic."""
+    """Isotopic right loops have equally many left non-singular elements:
+    the first members of isotopy classes with different counts are not
+    isotopic."""
     partition = data.partition("isotopy")
     firsts = [data.loops[members[0]] for members in partition.classes]
     counts = [len(left_nonsingular_elements(loop)) for loop in firsts]

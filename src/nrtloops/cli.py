@@ -37,7 +37,11 @@ from .flips import (
 )
 from .groups import GroupError, build_named_group, dumps_cayley, parse_subgroup
 from .isotopy import classify
-from .rightloops import left_nonsingular_elements, structure_flags
+from .rightloops import (
+    ClosureTooLargeError,
+    left_nonsingular_elements,
+    structure_flags,
+)
 from .transversals import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationTooLargeError,
@@ -393,7 +397,7 @@ def main(argv=None) -> int:
         if args.command == "nrt":
             return cmd_nrt_enumerate(args)
         return _DISPATCH[args.command](args)
-    except EnumerationTooLargeError as exc:
+    except (EnumerationTooLargeError, ClosureTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (GroupError, ValueError, OSError) as exc:

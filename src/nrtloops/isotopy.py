@@ -351,7 +351,11 @@ def classify(loops, relation: str = "isotopy", labels=None) -> ClassPartition:
     representatives: list[RightLoop] = []
     exact: dict[tuple, int] = {}  # target table -> class
     index: dict[tuple, list] = {}  # sorted signatures -> (class, table, signatures)
+    if labels is not None:
+        labels = tuple(labels)
     for i, loop in enumerate(loops):
+        if labels is not None and i >= len(labels):
+            raise ValueError("one label per loop required")
         if representatives and loop.order != representatives[0].order:
             raise ValueError("classification requires loops of equal order")
         k = exact.get(loop.table)
@@ -387,10 +391,8 @@ def classify(loops, relation: str = "isotopy", labels=None) -> ClassPartition:
     count = sum(map(len, classes))
     if labels is None:
         labels = tuple(str(i) for i in range(count))
-    else:
-        labels = tuple(labels)
-        if len(labels) != count:
-            raise ValueError("one label per loop required")
+    elif len(labels) != count:
+        raise ValueError("one label per loop required")
     return ClassPartition(
         relation, labels, tuple(map(tuple, classes)), tuple(representatives)
     )

@@ -148,11 +148,10 @@ class ClosureTooLargeError(RuntimeError):
         self.cap = cap
 
 
-def close_permutations(
-    degree: int, generators, cap: int = CLOSURE_CAP
-) -> PermutationGroup:
+def close_permutations(degree: int, generators) -> PermutationGroup:
     """Work-queue closure of a generator set inside the symmetric group.
-    Raises ClosureTooLargeError before the element set grows past cap."""
+    Raises ClosureTooLargeError before the element set grows past
+    CLOSURE_CAP."""
     gens = tuple(dict.fromkeys(tuple(g) for g in generators))
     identity = tuple(range(degree))
     elements = {identity}
@@ -162,17 +161,18 @@ def close_permutations(
         for g in gens:
             q = compose(g, p)
             if q not in elements:
-                if len(elements) >= cap:
-                    raise ClosureTooLargeError(degree, cap)
+                if len(elements) >= CLOSURE_CAP:
+                    raise ClosureTooLargeError(degree, CLOSURE_CAP)
                 elements.add(q)
                 queue.append(q)
     return PermutationGroup(degree, gens, frozenset(elements))
 
 
-def group_torsion(loop: RightLoop, cap: int = CLOSURE_CAP) -> PermutationGroup:
+def group_torsion(loop: RightLoop) -> PermutationGroup:
     """Permutation group generated by R(x*y)^-1 R(y) R(x) over all pairs,
     where R(y) is the column map and R(x) acts first. Trivial exactly when
-    the table is a group. Raises ClosureTooLargeError past cap elements."""
+    the table is a group. Raises ClosureTooLargeError past CLOSURE_CAP
+    elements."""
     cols = loop.columns
     inv_cols = tuple(invert(c) for c in cols)
     gens = set()
@@ -180,6 +180,6 @@ def group_torsion(loop: RightLoop, cap: int = CLOSURE_CAP) -> PermutationGroup:
         rx = cols[x]
         for y in range(loop.order):
             gens.add(compose(inv_cols[loop.table[x][y]], compose(cols[y], rx)))
-    return close_permutations(loop.order, sorted(gens), cap)
+    return close_permutations(loop.order, sorted(gens))
 
 

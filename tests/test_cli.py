@@ -1,10 +1,14 @@
-"""End-to-end tests that drive the command line as a subprocess."""
+"""End-to-end tests that drive the command line, as a subprocess unless a
+test patches the package."""
 
 import csv
 import io
 import json
 import subprocess
 import sys
+
+from nrtloops import cli
+from nrtloops.rightloops import ClosureTooLargeError
 
 
 def run_cli(*argv):
@@ -282,6 +286,17 @@ def test_dihedral_families_cap_exits_three():
     result = run_cli("dihedral", "families", "--p", "7", "--cap", "10")
     assert result.returncode == 3
     assert result.stderr == "error: 64 transversals exceed the cap of 10\n"
+
+
+def test_closure_cap_exits_three(monkeypatch, capsys):
+    def too_large(args):
+        raise ClosureTooLargeError(9, 5)
+
+    monkeypatch.setitem(cli._DISPATCH, "verify", too_large)
+    assert cli.main(["verify", "--all"]) == 3
+    assert capsys.readouterr().err == (
+        "error: the permutation group on 9 points has more than 5 elements\n"
+    )
 
 
 def test_dihedral_census_text():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from nrtloops import rightloops
 from nrtloops.rightloops import (
     ClosureTooLargeError,
     ColumnNotBijectiveError,
@@ -128,13 +129,16 @@ def test_close_permutations():
     assert close_permutations(3, [(1, 0, 2), (1, 0, 2)]).generators == ((1, 0, 2),)
 
 
-def test_close_permutations_cap():
+def test_close_permutations_cap(monkeypatch):
     s3 = [(1, 0, 2), (1, 2, 0)]
-    assert close_permutations(3, s3, cap=6).order == 6
+    monkeypatch.setattr(rightloops, "CLOSURE_CAP", 6)
+    assert close_permutations(3, s3).order == 6
+    monkeypatch.setattr(rightloops, "CLOSURE_CAP", 5)
     with pytest.raises(ClosureTooLargeError):
-        close_permutations(3, s3, cap=5)
+        close_permutations(3, s3)
+    monkeypatch.setattr(rightloops, "CLOSURE_CAP", 1)
     with pytest.raises(ClosureTooLargeError):
-        group_torsion(validate_right_loop(LOOPISH), cap=1)
+        group_torsion(validate_right_loop(LOOPISH))
 
 
 def test_torsion_detects_groups():
