@@ -342,6 +342,8 @@ def test_classify_argument_errors():
         classify(loops4(), labels=("a",))
     with pytest.raises(ValueError, match="label"):
         classify(iter(loops4()), labels=("a",))
+    with pytest.raises(ValueError, match="label"):
+        classify(iter(loops4()), labels="abcde")
     with pytest.raises(ValueError, match="equal order"):
         classify([validate_right_loop(T0), validate_right_loop([[0, 1], [1, 0]])])
     with pytest.raises(ValueError, match="equal order"):
