@@ -32,7 +32,6 @@ from .groups import (
     subgroup,
 )
 from .isotopy import (
-    are_isomorphic,
     are_isotopic,
     autotopy_group,
     classify,
@@ -60,6 +59,9 @@ CHECK_IDS = (
 _FACT_KEYS = ("normal", "isotopy_classes", "isomorphism_classes", "loop_transversals")
 
 DEFAULT_PRIMES = (3, 5, 7)
+
+# Largest prime whose flip loops thm4.1 and the direct thm4.2 count classify.
+FLIP_CLASS_PRIME_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -258,14 +260,17 @@ def load_catalog(path) -> tuple[CatalogEntry, ...]:
     if not isinstance(raw, list):
         raise ValueError("catalog file must hold a JSON list")
     entries = []
-    for item in raw:
+    for index, item in enumerate(raw):
+        if not isinstance(item, dict):
+            raise ValueError(f"catalog entry {index} is not an object")
+        for key in ("label", "group", "subgroup"):
+            if key not in item:
+                raise ValueError(f"catalog entry {index} lacks {key!r}")
+        facts = item.get("facts", {})
+        if not isinstance(facts, dict):
+            raise ValueError(f"catalog entry {index} has facts that are not an object")
         entries.append(
-            CatalogEntry(
-                item["label"],
-                item["group"],
-                item["subgroup"],
-                item.get("facts", {}),
-            )
+            CatalogEntry(item["label"], item["group"], item["subgroup"], facts)
         )
     return tuple(entries)
 
@@ -535,7 +540,8 @@ def _aut_transitive(loop) -> bool:
 
 def _check_thm312(data: _EntryData) -> CheckReport:
     """Isotopic right loops whose automorphism groups act transitively on
-    non-identity elements must be isomorphic."""
+    non-identity elements must be isomorphic. Isomorphism is transitive, so
+    each transitive member is compared with its class's first one."""
     partition = data.partition("isotopy")
     loops = data.loops
     pairs = 0
@@ -543,15 +549,18 @@ def _check_thm312(data: _EntryData) -> CheckReport:
     for members in partition.classes:
         transitive = [m for m in members if _aut_transitive(loops[m])]
         transitive_total += len(transitive)
-        for a, b in itertools.combinations(transitive, 2):
-            pairs += 1
-            if are_isomorphic(loops[a], loops[b]) is None:
+        if len(transitive) < 2:
+            continue
+        pairs += len(transitive) * (len(transitive) - 1) // 2
+        iso = data.partition("iso")
+        for b in transitive[1:]:
+            if iso.class_of(b) != iso.class_of(transitive[0]):
                 return CheckReport(
                     "thm3.12",
                     data.entry.label,
                     "fail",
                     {
-                        "first": partition.labels[a],
+                        "first": partition.labels[transitive[0]],
                         "second": partition.labels[b],
                     },
                 )
@@ -570,27 +579,43 @@ def _check_thm312(data: _EntryData) -> CheckReport:
     )
 
 
+def flip_classes(p: int) -> list[frozenset[FlipSet]] | None:
+    """The isotopy classes of the 2^(p-1) mod-p flip loops, each as the set
+    of its flip sets, or None when p exceeds FLIP_CLASS_PRIME_CAP."""
+    if p > FLIP_CLASS_PRIME_CAP:
+        return None
+    subsets = [FlipSet.from_mask(p, mask << 1) for mask in range(1 << (p - 1))]
+    partition = classify((flip_loop(p, B) for B in subsets), "isotopy")
+    return [frozenset(subsets[m] for m in members) for members in partition.classes]
+
+
 def _check_thm41(p: int) -> CheckReport:
     """For an odd prime modulus, two flip loops are isotopic exactly when
-    each flip set lies in the other's affine family."""
-    if p > 7:
+    each flip set lies in the other's affine family: the families are
+    symmetric and equal the isotopy classes."""
+    classes = flip_classes(p)
+    if classes is None:
         return CheckReport(
-            "thm4.1", f"p={p}", "vacuous", {"note": "pairwise check capped at p=7"}
+            "thm4.1",
+            f"p={p}",
+            "vacuous",
+            {"note": f"direct classification capped at p={FLIP_CLASS_PRIME_CAP}"},
         )
-    subsets = [FlipSet.from_mask(p, mask << 1) for mask in range(1 << (p - 1))]
-    loops = {B: flip_loop(p, B) for B in subsets}
+    class_of = {B: members for members in classes for B in members}
+    subsets = sorted(class_of, key=lambda B: B.mask)
     families = {B: affine_family(p, B) for B in subsets}
-    for B, C in itertools.combinations_with_replacement(subsets, 2):
-        predicted = C in families[B]
-        if predicted != (B in families[C]):
-            return CheckReport(
-                "thm4.1",
-                f"p={p}",
-                "fail",
-                {"asymmetric": [B.format(), C.format()]},
-            )
-        witness = are_isotopic(loops[B], loops[C])
-        if (witness is not None) != predicted:
+    for B in subsets:
+        for C in sorted(families[B], key=lambda C: C.mask):
+            if B not in families[C]:
+                return CheckReport(
+                    "thm4.1",
+                    f"p={p}",
+                    "fail",
+                    {"asymmetric": [B.format(), C.format()]},
+                )
+    for B in subsets:
+        if class_of[B] != families[B]:
+            C = min(class_of[B] ^ families[B], key=lambda C: C.mask)
             return CheckReport(
                 "thm4.1",
                 f"p={p}",
@@ -598,8 +623,8 @@ def _check_thm41(p: int) -> CheckReport:
                 {
                     "B": B.format(),
                     "C": C.format(),
-                    "family_predicts": predicted,
-                    "isotopic": witness is not None,
+                    "family_predicts": C in families[B],
+                    "isotopic": C in class_of[B],
                 },
             )
     return CheckReport("thm4.1", f"p={p}", "pass", {"subsets": len(subsets)})
@@ -609,8 +634,8 @@ def _check_thm41(p: int) -> CheckReport:
 class FlipClassCounts:
     """The isotopy class count of the mod-p flip loops found three ways:
     the cycle-index formula, the Burnside count of orbits on subsets (which
-    counts each class twice, once with its complement), and for p at most 7
-    direct classification (None above that)."""
+    counts each class twice, once with its complement), and for p up to
+    FLIP_CLASS_PRIME_CAP direct classification (None above that)."""
 
     p: int
     formula: int
@@ -624,20 +649,15 @@ class FlipClassCounts:
 
 
 def flip_class_counts(p: int) -> FlipClassCounts:
-    direct = None
-    if p <= 7:
-        loops = [
-            flip_loop(p, FlipSet.from_mask(p, mask << 1))
-            for mask in range(1 << (p - 1))
-        ]
-        direct = len(classify(loops, "isotopy").classes)
+    classes = flip_classes(p)
+    direct = None if classes is None else len(classes)
     return FlipClassCounts(p, dihedral_isotopy_count(p), subset_orbit_count(p), direct)
 
 
 def _check_thm42(p: int) -> CheckReport:
     """The isotopy class count of mod-p flip loops from the cycle-index
     formula agrees with the Burnside orbit count, the family census, and
-    (for p at most 7) direct classification."""
+    (for p up to FLIP_CLASS_PRIME_CAP) direct classification."""
     counts = flip_class_counts(p)
     families = len(affine_families(p))
     details = {
@@ -661,9 +681,9 @@ def run_suite(catalog=None, check_ids=None, ps=DEFAULT_PRIMES) -> list[CheckRepo
         requested = list(CHECK_IDS)
     else:
         requested = list(check_ids)
-        unknown = [c for c in requested if c not in CHECK_IDS]
+        unknown = sorted(set(requested) - set(CHECK_IDS))
         if unknown:
-            raise ValueError(f"unknown check ids: {', '.join(sorted(unknown))}")
+            raise ValueError(f"unknown check ids: {', '.join(unknown)}")
         requested = [c for c in CHECK_IDS if c in requested]
     data = [_EntryData(entry) for entry in catalog]
     per_entry = {

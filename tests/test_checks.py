@@ -1,20 +1,24 @@
 """Tests for the structural check suite and its catalog."""
 
+import dataclasses
 import json
 from collections import Counter
 
 import pytest
 
+from nrtloops import checks
 from nrtloops.checks import (
     CHECK_IDS,
     CatalogEntry,
     CheckReport,
     default_catalog,
+    flip_class_counts,
     load_catalog,
     run_suite,
     suite_passed,
 )
-from nrtloops.isotopy import IsotopyWitness
+from nrtloops.flips import FlipSet, affine_family, flip_loop
+from nrtloops.isotopy import IsotopyWitness, are_isotopic
 
 EXPECTED_LABELS = [
     "sym3-point-swap",
@@ -139,7 +143,7 @@ def test_prime_parameter():
     reports = run_suite(check_ids=["thm4.1", "thm4.2"], ps=(3, 11))
     rows = {(r.check_id, r.label): r for r in reports}
     assert rows[("thm4.1", "p=3")].verdict == "pass"
-    # pairwise isotopy scans are capped, larger primes report vacuous
+    # flip loops are classified only up to p = 7, larger primes report vacuous
     assert rows[("thm4.1", "p=11")].verdict == "vacuous"
     assert rows[("thm4.2", "p=11")].verdict == "pass"
     assert rows[("thm4.2", "p=11")].details_dict() == {
@@ -223,3 +227,61 @@ def test_prop32_fails_when_counts_are_crossed(monkeypatch):
         "first": "I,(1,2),(1,2,3)",
         "second": "I,(1,3,2),(1,2,3)",
     }
+
+
+def test_thm41_fails_when_families_miss_a_class_member(monkeypatch):
+    monkeypatch.setattr("nrtloops.checks.affine_family", lambda p, B: frozenset([B]))
+    (report,) = run_suite(check_ids=["thm4.1"], ps=(5,))
+    assert report.verdict == "fail"
+    assert report.details_dict() == {
+        "B": "{1}",
+        "C": "{2}",
+        "family_predicts": False,
+        "isotopic": True,
+    }
+    B, C = FlipSet.parse(5, "1"), FlipSet.parse(5, "2")
+    assert are_isotopic(flip_loop(5, B), flip_loop(5, C)) is not None
+
+
+def test_thm41_reports_an_asymmetric_family(monkeypatch):
+    empty = FlipSet(5, ())
+    monkeypatch.setattr(
+        "nrtloops.checks.affine_family",
+        lambda p, B: affine_family(p, B) | {empty},
+    )
+    (report,) = run_suite(check_ids=["thm4.1"], ps=(5,))
+    assert report.verdict == "fail"
+    # the family of {1} gained the empty set, whose family lacks {1}
+    assert report.details_dict() == {"asymmetric": ["{1}", "{}"]}
+
+
+def test_flip_class_cap_is_one_constant(monkeypatch):
+    assert checks.FLIP_CLASS_PRIME_CAP == 7
+    assert flip_class_counts(7).direct == 5
+    monkeypatch.setattr("nrtloops.checks.FLIP_CLASS_PRIME_CAP", 5)
+    (report,) = run_suite(check_ids=["thm4.1"], ps=(7,))
+    assert report.verdict == "vacuous"
+    assert report.details_dict() == {"note": "direct classification capped at p=5"}
+    assert flip_class_counts(7).direct is None
+    assert flip_class_counts(5).direct == 3
+
+
+def test_thm312_fails_when_transitive_members_are_not_isomorphic(monkeypatch):
+    original = checks._EntryData.partition
+
+    def split_rotations(self, relation):
+        partition = original(self, relation)
+        if relation != "iso" or self.entry.label != "dihedral3-rotations":
+            return partition
+        return dataclasses.replace(
+            partition,
+            classes=tuple((m,) for m in range(len(partition.labels))),
+            representatives=self.loops,
+        )
+
+    monkeypatch.setattr(checks._EntryData, "partition", split_rotations)
+    reports = run_suite(check_ids=["thm3.12"])
+    failed = [r for r in reports if r.verdict == "fail"]
+    assert [r.label for r in failed] == ["dihedral3-rotations"]
+    # all three rotation-subgroup loops are transitive; the first two are named
+    assert failed[0].details_dict() == {"first": "1,x", "second": "1,xy"}

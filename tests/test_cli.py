@@ -389,9 +389,30 @@ def test_verify_all_passes():
 
 
 def test_verify_unknown_check():
-    result = run_cli("verify", "--check", "nope")
-    assert result.returncode == 2
-    assert result.stderr == "error: unknown check ids: nope\n"
+    for ids in ("nope", "nope,nope"):
+        result = run_cli("verify", "--check", ids)
+        assert result.returncode == 2
+        assert result.stderr == "error: unknown check ids: nope\n"
+
+
+def test_verify_malformed_catalog_exits_two(tmp_path):
+    not_object = tmp_path / "not_object.json"
+    entry = {"label": "a", "group": "sym:3", "subgroup": "(2,3)"}
+    not_object.write_text(json.dumps([entry, 7]))
+    lacks_key = tmp_path / "lacks_key.json"
+    lacks_key.write_text(json.dumps([{"label": "a", "group": "sym:3"}]))
+    bad_facts = tmp_path / "bad_facts.json"
+    bad_facts.write_text(json.dumps([{**entry, "facts": 5}]))
+    expected = {
+        not_object: "error: catalog entry 1 is not an object\n",
+        lacks_key: "error: catalog entry 0 lacks 'subgroup'\n",
+        bad_facts: "error: catalog entry 0 has facts that are not an object\n",
+    }
+    for path, stderr in expected.items():
+        result = run_cli("verify", "--check", "facts", "--catalog", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == stderr
 
 
 def test_verify_csv():
