@@ -82,23 +82,9 @@ class AffineMap:
     def permutation(self) -> tuple[int, ...]:
         return tuple(self.apply(x) for x in range(self.p))
 
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """The map x -> self(other(x)); other acts first."""
-        if other.p != self.p:
-            raise ValueError("affine maps over different primes")
-        return AffineMap(
-            self.p,
-            (self.mu * other.mu) % self.p,
-            (self.mu * other.t + self.t) % self.p,
-        )
-
     def inverse(self) -> "AffineMap":
         mu_inv = pow(self.mu, -1, self.p)
         return AffineMap(self.p, mu_inv, (-mu_inv * self.t) % self.p)
-
-    @classmethod
-    def identity(cls, p: int) -> "AffineMap":
-        return cls(p, 1, 0)
 
 
 @lru_cache(maxsize=None)
@@ -163,12 +149,6 @@ class CycleIndex:
 
     def __repr__(self):
         return f"CycleIndex(degree={self.degree}, terms={len(self.terms)})"
-
-    def coefficient(self, ctype: CycleType) -> Fraction:
-        for t, c in self.terms:
-            if t == ctype:
-                return c
-        return Fraction(0)
 
 
 def cycle_index_from_permutations(perms) -> CycleIndex:

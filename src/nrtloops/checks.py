@@ -266,6 +266,10 @@ def load_catalog(path) -> tuple[CatalogEntry, ...]:
         for key in ("label", "group", "subgroup"):
             if key not in item:
                 raise ValueError(f"catalog entry {index} lacks {key!r}")
+            if not isinstance(item[key], str):
+                raise ValueError(
+                    f"catalog entry {index} has a {key!r} that is not a string"
+                )
         facts = item.get("facts", {})
         if not isinstance(facts, dict):
             raise ValueError(f"catalog entry {index} has facts that are not an object")

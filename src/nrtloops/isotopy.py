@@ -184,6 +184,11 @@ def are_isomorphic(L1: RightLoop, L2: RightLoop) -> tuple[int, ...] | None:
 # principal isotopes
 
 
+def _require_left_nonsingular(loop: RightLoop, x: int) -> None:
+    if x not in range(loop.order) or len(set(loop.table[x])) != loop.order:
+        raise NotLeftNonsingularError(f"element {x} is not left non-singular")
+
+
 def principal_isotope_with_relabel(
     loop: RightLoop, a: int, b: int
 ) -> tuple[RightLoop, IsotopyWitness]:
@@ -191,10 +196,9 @@ def principal_isotope_with_relabel(
     the swap s of its identity a*b with 0. Returns (isotope, principal),
     where principal = (s o R(b), s o L(a), s) is the isotopy from loop onto
     the isotope."""
+    _require_left_nonsingular(loop, a)
     n = loop.order
     t = loop.table
-    if set(t[a]) != set(range(n)):
-        raise NotLeftNonsingularError(f"element {a} has a non-bijective row")
     e = t[a][b]
     swap = list(range(n))
     swap[0], swap[e] = e, 0
@@ -212,25 +216,32 @@ def principal_isotope_with_relabel(
     return validate_right_loop(rows), principal
 
 
+def _principal_isotopes(loop: RightLoop):
+    """(isotope, principal) for each left non-singular a, then each b."""
+    for a in left_nonsingular_elements(loop):
+        for b in range(loop.order):
+            yield principal_isotope_with_relabel(loop, a, b)
+
+
+def _isotopies(L1: RightLoop, L2: RightLoop):
+    """Every isotopy from L1 onto L2, repeats possible: a principal isotopy
+    of L1, then the inverse of an isomorphism from L2 onto that isotope."""
+    for isotope, principal in _principal_isotopes(L1):
+        for f in isomorphisms(L2, isotope):
+            f_inv = invert(f)
+            yield principal.then(IsotopyWitness(f_inv, f_inv, f_inv))
+
+
 def are_isotopic(L1: RightLoop, L2: RightLoop) -> IsotopyWitness | None:
-    """Search all principal isotopes of L1 for an isomorphic copy of L2 and
-    compose the principal isotopy with that isomorphism into a witness from
-    L1 to L2. Equal tables are related by the identity at once."""
+    """The first isotopy from L1 onto L2, verified, or None. Equal tables
+    are related by the identity at once."""
     n = L1.order
     if L2.order != n:
         return None
     if L1.table == L2.table:
         return _verified(IsotopyWitness.identity(n), L1, L2)
-    for a in left_nonsingular_elements(L1):
-        for b in range(n):
-            isotope, principal = principal_isotope_with_relabel(L1, a, b)
-            f = are_isomorphic(L2, isotope)
-            if f is None:
-                continue
-            f_inv = invert(f)
-            witness = principal.then(IsotopyWitness(f_inv, f_inv, f_inv))
-            return _verified(witness, L1, L2)
-    return None
+    witness = next(_isotopies(L1, L2), None)
+    return None if witness is None else _verified(witness, L1, L2)
 
 
 def _verified(witness: IsotopyWitness, source: RightLoop, target: RightLoop):
@@ -374,11 +385,7 @@ def classify(loops, relation: str = "isotopy", labels=None) -> ClassPartition:
         classes.append([i])
         representatives.append(loop)
         if isotopy:
-            targets = (
-                principal_isotope_with_relabel(loop, a, b)[0]
-                for a in left_nonsingular_elements(loop)
-                for b in range(loop.order)
-            )
+            targets = (isotope for isotope, _ in _principal_isotopes(loop))
         else:
             targets = (loop,)
         for target in targets:
@@ -447,21 +454,14 @@ class AutotopyGroup:
 
 
 def autotopy_group(loop: RightLoop) -> AutotopyGroup:
-    """Enumerate the full autotopy group by factoring through principal
-    isotopes: every autotopy is an isomorphism onto some principal isotope
-    composed with the principal isotopy back."""
+    """Enumerate the full autotopy group: every autotopy is a principal
+    isotopy followed by an isomorphism from its isotope back onto the loop."""
     n = loop.order
     if n > AUTOTOPY_ORDER_CAP:
         raise OrderTooLargeError(
             f"autotopy enumeration is capped at order {AUTOTOPY_ORDER_CAP}, got {n}"
         )
-    found = set()
-    for a in left_nonsingular_elements(loop):
-        for b in range(n):
-            isotope, principal = principal_isotope_with_relabel(loop, a, b)
-            back = principal.inverse()
-            for f in isomorphisms(loop, isotope):
-                found.add(IsotopyWitness(f, f, f).then(back))
+    found = set(_isotopies(loop, loop))
     witnesses = sorted(found, key=lambda w: (w.alpha, w.beta, w.gamma))
     for w in witnesses:
         if not w.verify(loop, loop):
@@ -498,10 +498,7 @@ def pseudo_automorphism_check(
             for y in range(n)
         )
     if side == "left":
-        if c not in left_nonsingular_elements(loop):
-            raise NotLeftNonsingularError(
-                f"left companion {c} must be left non-singular"
-            )
+        _require_left_nonsingular(loop, c)
         return all(
             t[c][eta[t[x][y]]] == t[t[c][eta[x]]][eta[y]]
             for x in range(n)
@@ -523,10 +520,7 @@ def pseudo_autotopy_triple(
         shifted = tuple(t[eta[x]][companion] for x in range(n))
         return IsotopyWitness(eta, shifted, shifted)
     if side == "left":
-        if companion not in left_nonsingular_elements(loop):
-            raise NotLeftNonsingularError(
-                f"left companion {companion} must be left non-singular"
-            )
+        _require_left_nonsingular(loop, companion)
         shifted = tuple(t[companion][eta[x]] for x in range(n))
         return IsotopyWitness(shifted, eta, shifted)
     raise ValueError(f"side must be 'right' or 'left', got {side!r}")

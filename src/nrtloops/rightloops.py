@@ -72,12 +72,9 @@ class RightLoop:
     def __repr__(self):
         return f"RightLoop(order={self.order})"
 
-    def column(self, y: int) -> tuple[int, ...]:
-        return tuple(self.table[x][y] for x in range(self.order))
-
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.column(y) for y in range(self.order))
+        return tuple(zip(*self.table))
 
 
 def validate_right_loop(table) -> RightLoop:

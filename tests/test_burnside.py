@@ -46,18 +46,9 @@ def test_affine_map_basics():
     f = AffineMap(5, 2, 1)
     assert f.apply(0) == 1
     assert f.permutation == (1, 3, 0, 2, 4)
-    assert AffineMap.identity(5).permutation == (0, 1, 2, 3, 4)
     inv = f.inverse()
-    assert f.compose(inv).permutation == (0, 1, 2, 3, 4)
-    assert inv.compose(f).permutation == (0, 1, 2, 3, 4)
-
-
-def test_affine_map_composition_order():
-    # other acts first
-    for f in affine_maps(5):
-        for g in affine_maps(5):
-            h = f.compose(g)
-            assert all(h.apply(x) == f.apply(g.apply(x)) for x in range(5))
+    assert all(inv.apply(f.apply(x)) == x for x in range(5))
+    assert all(f.apply(inv.apply(x)) == x for x in range(5))
 
 
 def test_affine_map_validation():
@@ -69,8 +60,6 @@ def test_affine_map_validation():
         AffineMap(5, 0, 0)
     with pytest.raises(ValueError, match="t "):
         AffineMap(5, 1, 5)
-    with pytest.raises(ValueError, match="different primes"):
-        AffineMap(5, 1, 0).compose(AffineMap(7, 1, 0))
 
 
 def test_affine_maps_enumeration():
@@ -101,9 +90,10 @@ def test_cycle_index_validation():
 def test_cycle_index_from_permutations():
     index = cycle_index_from_permutations([(0, 1), (1, 0)])
     assert index.degree == 2
-    assert index.coefficient(((1, 2),)) == Fraction(1, 2)
-    assert index.coefficient(((2, 1),)) == Fraction(1, 2)
-    assert index.coefficient(((1, 1),)) == 0
+    coefficients = dict(index.terms)
+    assert coefficients.get(((1, 2),), 0) == Fraction(1, 2)
+    assert coefficients.get(((2, 1),), 0) == Fraction(1, 2)
+    assert coefficients.get(((1, 1),), 0) == 0
     assert evaluate_cycle_index(index, 2) == 3
     with pytest.raises(ValueError, match="at least one"):
         cycle_index_from_permutations([])

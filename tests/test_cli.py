@@ -403,10 +403,16 @@ def test_verify_malformed_catalog_exits_two(tmp_path):
     lacks_key.write_text(json.dumps([{"label": "a", "group": "sym:3"}]))
     bad_facts = tmp_path / "bad_facts.json"
     bad_facts.write_text(json.dumps([{**entry, "facts": 5}]))
+    number_group = tmp_path / "number_group.json"
+    number_group.write_text(json.dumps([{"label": "a", "group": 5, "subgroup": "x"}]))
+    list_subgroup = tmp_path / "list_subgroup.json"
+    list_subgroup.write_text(json.dumps([entry, {**entry, "subgroup": ["x"]}]))
     expected = {
         not_object: "error: catalog entry 1 is not an object\n",
         lacks_key: "error: catalog entry 0 lacks 'subgroup'\n",
         bad_facts: "error: catalog entry 0 has facts that are not an object\n",
+        number_group: "error: catalog entry 0 has a 'group' that is not a string\n",
+        list_subgroup: "error: catalog entry 1 has a 'subgroup' that is not a string\n",
     }
     for path, stderr in expected.items():
         result = run_cli("verify", "--check", "facts", "--catalog", str(path))

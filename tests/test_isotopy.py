@@ -8,7 +8,7 @@ import pytest
 from nrtloops import isotopy
 from nrtloops.burnside import dihedral_isotopy_count
 from nrtloops.checks import default_catalog
-from nrtloops.flips import affine_families, dihedral_transversal
+from nrtloops.flips import FlipSet, affine_families, dihedral_transversal, flip_loop
 from nrtloops.groups import build_named_group, cyclic_group, parse_subgroup
 from nrtloops.isotopy import (
     AUTOTOPY_ORDER_CAP,
@@ -103,6 +103,10 @@ def test_principal_isotope_requires_bijective_row():
     L3 = validate_right_loop(T3)
     with pytest.raises(NotLeftNonsingularError):
         principal_isotope_with_relabel(L3, 1, 0)
+    z3 = validate_right_loop(T2)
+    for a in (-1, 3):
+        with pytest.raises(NotLeftNonsingularError):
+            principal_isotope_with_relabel(z3, a, 0)
 
 
 def test_principal_isotopes_stay_isotopic():
@@ -239,6 +243,54 @@ def test_autotopy_automorphisms_are_the_isomorphisms_onto_itself():
         for loop in rng.sample(loops, min(3, len(loops))):
             automorphisms = autotopy_group(loop).automorphisms
             assert sorted(automorphisms) == sorted(isomorphisms(loop, loop))
+
+
+def test_isotopies_match_the_old_construction():
+    """autotopy_group and are_isotopic read one enumerator of isotopies; they
+    give what the separate scans gave before it."""
+
+    def old_autotopies(loop):
+        found = set()
+        for a in left_nonsingular_elements(loop):
+            for b in range(loop.order):
+                isotope, principal = principal_isotope_with_relabel(loop, a, b)
+                for f in isomorphisms(loop, isotope):
+                    found.add(IsotopyWitness(f, f, f).then(principal.inverse()))
+        return tuple(sorted(found, key=lambda w: (w.alpha, w.beta, w.gamma)))
+
+    def old_are_isotopic(L1, L2):
+        for a in left_nonsingular_elements(L1):
+            for b in range(L1.order):
+                isotope, principal = principal_isotope_with_relabel(L1, a, b)
+                f = are_isomorphic(L2, isotope)
+                if f is not None:
+                    f_inv = invert(f)
+                    return principal.then(IsotopyWitness(f_inv, f_inv, f_inv))
+        return None
+
+    rng = random.Random(13)
+    loops = [
+        flip_loop(5, FlipSet.from_mask(5, mask << 1)) for mask in range(1 << 4)
+    ]
+    for entry in default_catalog():
+        pool = transversal_loops(entry.group, entry.subgroup)
+        if pool[0].order <= 8:
+            loops += rng.sample(pool, min(2, len(pool)))
+    for loop in loops:
+        assert autotopy_group(loop).elements == old_autotopies(loop)
+
+    d7 = transversal_loops("dihedral:7", "x")
+    # distinct tables, so are_isotopic's equal-table shortcut never answers
+    assert len({loop.table for loop in d7}) == len(d7)
+    classes = [c for c in classify(d7, "isotopy").classes if len(c) > 1]
+    pairs = [rng.sample(range(len(d7)), 2) for _ in range(15)]
+    pairs += [rng.sample(rng.choice(classes), 2) for _ in range(15)]
+    isotopic = 0
+    for i, j in pairs:
+        witness = are_isotopic(d7[i], d7[j])
+        assert witness == old_are_isotopic(d7[i], d7[j])
+        isotopic += witness is not None
+    assert 15 <= isotopic < len(pairs)
 
 
 def test_classify_does_not_depend_on_input_order():

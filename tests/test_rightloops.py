@@ -59,7 +59,6 @@ def test_loop_accessors():
     loop = validate_right_loop(LOOPISH)
     assert loop.table[1][2] == 1
     assert loop.table[2] == (2, 0, 0)
-    assert loop.column(1) == (1, 2, 0)
     assert loop.columns == ((0, 1, 2), (1, 2, 0), (2, 1, 0))
 
 
