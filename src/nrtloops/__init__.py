@@ -74,7 +74,6 @@ from .isotopy import (
     ClassPartition,
     IsotopyWitness,
     NotLeftNonsingularError,
-    OrderTooLargeError,
     are_isomorphic,
     are_isotopic,
     autotopy_group,
@@ -86,6 +85,7 @@ from .isotopy import (
     pseudo_autotopy_triple,
 )
 from .perms import (
+    CapExceededError,
     compose,
     cycle_decomposition,
     cycle_type,
@@ -96,7 +96,6 @@ from .perms import (
     perm_parity,
 )
 from .rightloops import (
-    ClosureTooLargeError,
     ColumnNotBijectiveError,
     NotIdentityError,
     PermutationGroup,
@@ -111,7 +110,6 @@ from .rightloops import (
 )
 from .transversals import (
     DEFAULT_ENUMERATION_CAP,
-    EnumerationTooLargeError,
     Transversal,
     enumerate_transversals,
     induced_right_loop,

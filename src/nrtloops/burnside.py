@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .perms import cycle_count, cycle_type
+from .perms import CapExceededError, cycle_count, cycle_type
 
 AFFINE_PRIME_CAP = 31
-SUBSET_ORBIT_CAP = 23
 NAIVE_SCAN_CAP = 13
 
 
@@ -92,7 +91,7 @@ def affine_maps(p: int) -> tuple[AffineMap, ...]:
     """All p(p-1) affine maps mod p, verified closed under composition."""
     _require_odd_prime(p)
     if p > AFFINE_PRIME_CAP:
-        raise ValueError(f"affine_maps is capped at p = {AFFINE_PRIME_CAP}")
+        raise CapExceededError(f"affine_maps is capped at p = {AFFINE_PRIME_CAP}")
     maps = tuple(AffineMap(p, mu, t) for mu in range(1, p) for t in range(p))
     params = {(m.mu, m.t) for m in maps}
     for m1, t1 in params:
@@ -246,8 +245,6 @@ def subset_orbit_count(p: int) -> int:
     average fixed-subset count: a map fixes 2^(number of its cycles)
     subsets, since a fixed subset is a union of cycles."""
     _require_odd_prime(p)
-    if p > SUBSET_ORBIT_CAP:
-        raise ValueError(f"subset_orbit_count is capped at p = {SUBSET_ORBIT_CAP}")
     maps = affine_maps(p)
     total = sum(2 ** cycle_count(m.permutation) for m in maps)
     if total % len(maps) != 0:
@@ -259,7 +256,7 @@ def subset_orbit_count_naive(p: int) -> int:
     """Same count by scanning all 2^p subsets per map; slow test oracle."""
     _require_odd_prime(p)
     if p > NAIVE_SCAN_CAP:
-        raise ValueError(
+        raise CapExceededError(
             f"subset_orbit_count_naive is capped at p = {NAIVE_SCAN_CAP}"
         )
     maps = affine_maps(p)

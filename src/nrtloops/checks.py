@@ -19,8 +19,6 @@ from functools import cached_property
 from .burnside import dihedral_isotopy_count, subset_orbit_count
 from .flips import FlipSet, affine_families, affine_family, flip_loop
 from .groups import (
-    FiniteGroup,
-    Subgroup,
     build_named_group,
     core,
     generated_subgroup,
@@ -79,9 +77,16 @@ class CatalogEntry:
             facts = tuple(sorted(facts.items()))
         else:
             facts = tuple(sorted(tuple(facts)))
-        for key, _ in facts:
+        for key, value in facts:
             if key not in _FACT_KEYS:
                 raise ValueError(f"unknown fact key {key!r}")
+            # exact types, as bool is an int subclass and 0 == False
+            wanted = bool if key == "normal" else int
+            if type(value) is not wanted or value < 0:
+                raise ValueError(
+                    f"catalog entry {self.label!r} has a fact {key!r} that is not "
+                    + ("a boolean" if wanted is bool else "a non-negative integer")
+                )
         object.__setattr__(self, "facts", facts)
 
     def facts_dict(self) -> dict:

@@ -3,7 +3,7 @@
 Subcommands: group show, nrt enumerate, classify, dihedral, cycle-index,
 verify. Every command supports --format json|csv|table and an optional
 --output path. Exit codes: 0 success, 1 failed verification, 2 bad
-arguments or descriptors, 3 enumeration cap exceeded.
+arguments or descriptors, 3 a size cap was exceeded.
 """
 
 from __future__ import annotations
@@ -37,14 +37,10 @@ from .flips import (
 )
 from .groups import GroupError, build_named_group, dumps_cayley, parse_subgroup
 from .isotopy import classify
-from .rightloops import (
-    ClosureTooLargeError,
-    left_nonsingular_elements,
-    structure_flags,
-)
+from .perms import CapExceededError
+from .rightloops import left_nonsingular_elements, structure_flags
 from .transversals import (
     DEFAULT_ENUMERATION_CAP,
-    EnumerationTooLargeError,
     enumerate_transversals,
     induced_right_loop,
 )
@@ -393,10 +389,10 @@ def main(argv=None) -> int:
         if args.command == "nrt":
             return cmd_nrt_enumerate(args)
         return _DISPATCH[args.command](args)
-    except (EnumerationTooLargeError, ClosureTooLargeError) as exc:
+    except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (GroupError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

@@ -19,13 +19,9 @@ from functools import cached_property
 
 from .burnside import AffineMap, _require_odd_prime
 from .groups import dihedral_group, right_cosets, subgroup
+from .perms import CapExceededError
 from .rightloops import RightLoop, structure_flags, validate_right_loop
-from .transversals import (
-    DEFAULT_ENUMERATION_CAP,
-    EnumerationTooLargeError,
-    Transversal,
-    make_transversal,
-)
+from .transversals import DEFAULT_ENUMERATION_CAP, Transversal, make_transversal
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,7 @@ def loop_transversal_census(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Censu
         raise ValueError("census needs n >= 2")
     total = 1 << (n - 1)
     if total > cap:
-        raise EnumerationTooLargeError(total, cap)
+        raise CapExceededError(f"{total} transversals exceed the cap of {cap}")
     witnesses = []
     for mask in range(total):
         B = FlipSet.from_mask(n, mask << 1)
@@ -213,11 +209,11 @@ def affine_families(
 ) -> tuple[tuple[FlipSet, ...], ...]:
     """Partition of all subsets of the nonzero residues mod p into isotopy
     families, ordered by least member mask; families are sorted by mask.
-    Raises EnumerationTooLargeError when the 2^(p-1) subsets exceed cap."""
+    Raises CapExceededError when the 2^(p-1) subsets exceed cap."""
     _require_odd_prime(p)
     total = 1 << (p - 1)
     if total > cap:
-        raise EnumerationTooLargeError(total, cap)
+        raise CapExceededError(f"{total} transversals exceed the cap of {cap}")
     assigned: dict[int, int] = {}
     families = []
     for mask in range(total):

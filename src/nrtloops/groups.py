@@ -14,27 +14,22 @@ usual way: the right factor acts first, so ``mul(p, q)`` is the map
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 
-from .perms import (
-    compose,
-    format_cycles,
-    identity_perm,
-    parse_cycles,
-    perm_parity,
-)
+from .perms import CapExceededError, compose, format_cycles, parse_cycles, perm_parity
 
 # Associativity is an O(n^3) scan, so the constructor only runs it for small
 # tables; the named constructors are associative by construction and
 # assert_valid() is always available for an explicit full check.
 _FULL_CHECK_LIMIT = 64
 
-# Degree cap for the symmetric/alternating constructors: tables are held
-# fully in memory, so factorial growth has to stop somewhere sane.
-SYMMETRIC_DEGREE_CAP = 8
+# Order cap for the named constructors, the order of sym:7. A table of
+# order N holds N^2 entries, so sym:8 would need over 12 GiB.
+GROUP_ORDER_CAP = 5040
 
 
 class GroupError(ValueError):
@@ -310,10 +305,20 @@ def _restrict_table(G: FiniteGroup, members) -> tuple[tuple[int, ...], ...]:
 # named constructors
 
 
+def _require_order_within_cap(descriptor: str, factors) -> None:
+    """Raise CapExceededError, before any table is built, once the running
+    product of factors (which ends at the group's order) passes the cap."""
+    if any(o > GROUP_ORDER_CAP for o in itertools.accumulate(factors, operator.mul)):
+        raise CapExceededError(
+            f"the order of {descriptor} exceeds the cap of {GROUP_ORDER_CAP}"
+        )
+
+
 @lru_cache(maxsize=None)
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError(f"cyclic group needs order >= 1, got {n}")
+    _require_order_within_cap(f"cyclic:{n}", (n,))
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     return FiniteGroup(n, table, tuple(str(i) for i in range(n)), "cyclic")
 
@@ -331,6 +336,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     xy^(n-1), so index a*n + i stands for x^a y^i."""
     if n < 2:
         raise GroupError(f"dihedral constructor needs n >= 2, got {n}")
+    _require_order_within_cap(f"dihedral:{n}", (2, n))
 
     def mul(a, i, b, j):
         # y^i x = x y^-i, so (x^a y^i)(x^b y^j) = x^(a+b) y^(j - i) when b = 1
@@ -358,17 +364,17 @@ def _perm_group(perms: list[tuple[int, ...]], kind: str) -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def symmetric_group(k: int) -> FiniteGroup:
-    if not 1 <= k <= SYMMETRIC_DEGREE_CAP:
-        raise GroupError(f"symmetric degree must be 1..{SYMMETRIC_DEGREE_CAP}, got {k}")
+    if k < 1:
+        raise GroupError(f"symmetric degree must be at least 1, got {k}")
+    _require_order_within_cap(f"sym:{k}", range(2, k + 1))
     return _perm_group(list(itertools.permutations(range(k))), "symmetric")
 
 
 @lru_cache(maxsize=None)
 def alternating_group(k: int) -> FiniteGroup:
-    if not 1 <= k <= SYMMETRIC_DEGREE_CAP:
-        raise GroupError(
-            f"alternating degree must be 1..{SYMMETRIC_DEGREE_CAP}, got {k}"
-        )
+    if k < 1:
+        raise GroupError(f"alternating degree must be at least 1, got {k}")
+    _require_order_within_cap(f"alt:{k}", range(3, k + 1))
     perms = [p for p in itertools.permutations(range(k)) if perm_parity(p) == 0]
     return _perm_group(perms, "alternating")
 
@@ -468,6 +474,9 @@ def loads_cayley(text: str) -> FiniteGroup:
                 line=line_no,
                 column=min(len(toks), n) + 1,
             )
+        if len(set(toks)) < n:
+            repeated = next(t for c, t in enumerate(toks) if t in toks[:c])
+            raise CayleyFileError(f"name {repeated!r} is repeated", line=line_no)
         names = tuple(toks)
         if len(rest) > 1:
             raise CayleyFileError("unexpected content after names line", line=rest[1][0])

@@ -18,7 +18,14 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .perms import compose, cycle_type, identity_perm, invert, is_permutation
+from .perms import (
+    CapExceededError,
+    compose,
+    cycle_type,
+    identity_perm,
+    invert,
+    is_permutation,
+)
 from .rightloops import (
     RightLoop,
     left_nonsingular_elements,
@@ -32,10 +39,6 @@ ORACLE_ORDER_CAP = 7
 
 class NotLeftNonsingularError(ValueError):
     """The requested construction needs a bijective row at this element."""
-
-
-class OrderTooLargeError(ValueError):
-    """The exhaustive procedure is capped well below this order."""
 
 
 @dataclass(frozen=True)
@@ -267,9 +270,7 @@ def brute_force_isotopy_oracle(L1: RightLoop, L2: RightLoop) -> bool:
     if L2.order != n:
         return False
     if n > ORACLE_ORDER_CAP:
-        raise OrderTooLargeError(
-            f"oracle is capped at order {ORACLE_ORDER_CAP}, got {n}"
-        )
+        raise CapExceededError(f"oracle is capped at order {ORACLE_ORDER_CAP}, got {n}")
     t1, t2 = L1.table, L2.table
     rng = range(n)
     cols1 = [tuple(t1[x][y] for x in rng) for y in rng]
@@ -337,11 +338,9 @@ class ClassPartition:
 
 
 def _is_isotopy(relation: str) -> bool:
-    if relation in ("iso", "isomorphism"):
-        return False
-    if relation == "isotopy":
-        return True
-    raise ValueError(f"unknown relation {relation!r} (expected 'iso' or 'isotopy')")
+    if relation not in ("iso", "isotopy"):
+        raise ValueError(f"unknown relation {relation!r} (expected 'iso' or 'isotopy')")
+    return relation == "isotopy"
 
 
 def classify(loops, relation: str = "isotopy", labels=None) -> ClassPartition:
@@ -458,7 +457,7 @@ def autotopy_group(loop: RightLoop) -> AutotopyGroup:
     isotopy followed by an isomorphism from its isotope back onto the loop."""
     n = loop.order
     if n > AUTOTOPY_ORDER_CAP:
-        raise OrderTooLargeError(
+        raise CapExceededError(
             f"autotopy enumeration is capped at order {AUTOTOPY_ORDER_CAP}, got {n}"
         )
     found = set(_isotopies(loop, loop))

@@ -6,6 +6,12 @@ import re
 from collections import Counter
 
 
+class CapExceededError(RuntimeError):
+    """An exhaustive routine was asked for more than its size cap allows.
+    It lives here because every module with a cap imports perms without a
+    cycle; the command line maps it, and only it, to exit 3."""
+
+
 def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 

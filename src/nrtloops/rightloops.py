@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .perms import compose, invert
+from .perms import CapExceededError, compose, invert
 
 
 class RightLoopError(ValueError):
@@ -136,18 +136,9 @@ class PermutationGroup:
 CLOSURE_CAP = 1 << 18
 
 
-class ClosureTooLargeError(RuntimeError):
-    def __init__(self, degree: int, cap: int):
-        super().__init__(
-            f"the permutation group on {degree} points has more than {cap} elements"
-        )
-        self.degree = degree
-        self.cap = cap
-
-
 def close_permutations(degree: int, generators) -> PermutationGroup:
     """Work-queue closure of a generator set inside the symmetric group.
-    Raises ClosureTooLargeError before the element set grows past
+    Raises CapExceededError before the element set grows past
     CLOSURE_CAP."""
     gens = tuple(dict.fromkeys(tuple(g) for g in generators))
     identity = tuple(range(degree))
@@ -159,7 +150,10 @@ def close_permutations(degree: int, generators) -> PermutationGroup:
             q = compose(g, p)
             if q not in elements:
                 if len(elements) >= CLOSURE_CAP:
-                    raise ClosureTooLargeError(degree, CLOSURE_CAP)
+                    raise CapExceededError(
+                        f"the permutation group on {degree} points has more than "
+                        f"{CLOSURE_CAP} elements"
+                    )
                 elements.add(q)
                 queue.append(q)
     return PermutationGroup(degree, gens, frozenset(elements))
@@ -168,7 +162,7 @@ def close_permutations(degree: int, generators) -> PermutationGroup:
 def group_torsion(loop: RightLoop) -> PermutationGroup:
     """Permutation group generated by R(x*y)^-1 R(y) R(x) over all pairs,
     where R(y) is the column map and R(x) acts first. Trivial exactly when
-    the table is a group. Raises ClosureTooLargeError past CLOSURE_CAP
+    the table is a group. Raises CapExceededError past CLOSURE_CAP
     elements."""
     cols = loop.columns
     inv_cols = tuple(invert(c) for c in cols)

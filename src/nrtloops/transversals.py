@@ -13,16 +13,10 @@ import itertools
 from dataclasses import dataclass
 
 from .groups import CosetDecomposition, FiniteGroup, GroupError, Subgroup, right_cosets
+from .perms import CapExceededError
 from .rightloops import RightLoop, validate_right_loop
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
-
-
-class EnumerationTooLargeError(RuntimeError):
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"{count} transversals exceed the cap of {cap}")
-        self.count = count
-        self.cap = cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,12 +85,12 @@ def enumerate_transversals(
     G: FiniteGroup, H: Subgroup, cap: int = DEFAULT_ENUMERATION_CAP
 ):
     """All normalized right transversals of H in G, in lexicographic order
-    of their representative vectors. Raises EnumerationTooLargeError before
+    of their representative vectors. Raises CapExceededError before
     yielding anything if |H|^(index - 1) exceeds the cap."""
     dec = right_cosets(G, H)
     count = transversal_count(G, H)
     if count > cap:
-        raise EnumerationTooLargeError(count, cap)
+        raise CapExceededError(f"{count} transversals exceed the cap of {cap}")
 
     def generate():
         for choice in itertools.product(*dec.cosets[1:]):

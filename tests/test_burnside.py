@@ -8,7 +8,6 @@ import pytest
 from nrtloops.burnside import (
     AFFINE_PRIME_CAP,
     NAIVE_SCAN_CAP,
-    SUBSET_ORBIT_CAP,
     AffineMap,
     CycleIndex,
     affine_cycle_index,
@@ -23,6 +22,7 @@ from nrtloops.burnside import (
     subset_orbit_count,
     subset_orbit_count_naive,
 )
+from nrtloops.perms import CapExceededError
 
 ODD_PRIMES_TO_CAP = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -70,7 +70,7 @@ def test_affine_maps_enumeration():
     assert sorted(m.permutation for m in affine_maps(3)) == sorted(
         itertools.permutations(range(3))
     )
-    with pytest.raises(ValueError, match="capped"):
+    with pytest.raises(CapExceededError, match="affine_maps is capped at p = 31"):
         affine_maps(37)
     with pytest.raises(ValueError, match="odd prime"):
         affine_maps(9)
@@ -157,20 +157,19 @@ def test_dihedral_isotopy_count():
 
 
 def test_subset_orbit_count_matches_the_evaluation():
-    for p in (3, 5, 7, 11, 13):
+    for p in (3, 5, 7, 11, 13, 29, 31):
         assert subset_orbit_count(p) == evaluate_cycle_index(
             affine_cycle_index(p), 2
         )
-    assert SUBSET_ORBIT_CAP == 23
-    with pytest.raises(ValueError, match="capped"):
-        subset_orbit_count(29)
+    with pytest.raises(CapExceededError, match="affine_maps is capped at p = 31"):
+        subset_orbit_count(37)
 
 
 def test_naive_scan_agrees():
     for p in (3, 5, 7, 11):
         assert subset_orbit_count_naive(p) == subset_orbit_count(p)
     assert NAIVE_SCAN_CAP == 13
-    with pytest.raises(ValueError, match="capped"):
+    with pytest.raises(CapExceededError, match="naive is capped at p = 13"):
         subset_orbit_count_naive(17)
 
 

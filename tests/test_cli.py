@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 from nrtloops import cli
-from nrtloops.rightloops import ClosureTooLargeError
+from nrtloops.perms import CapExceededError
 
 
 def run_cli(*argv):
@@ -290,13 +290,33 @@ def test_dihedral_families_cap_exits_three():
 
 def test_closure_cap_exits_three(monkeypatch, capsys):
     def too_large(args):
-        raise ClosureTooLargeError(9, 5)
+        raise CapExceededError(
+            "the permutation group on 9 points has more than 5 elements"
+        )
 
     monkeypatch.setitem(cli._DISPATCH, "verify", too_large)
     assert cli.main(["verify", "--all"]) == 3
     assert capsys.readouterr().err == (
         "error: the permutation group on 9 points has more than 5 elements\n"
     )
+
+
+def test_size_caps_exit_three(capsys):
+    for argv, message in (
+        (["dihedral", "count", "--p", "37"], "affine_maps is capped at p = 31"),
+        (
+            ["verify", "--check", "thm4.2", "--p", "29"],
+            "268435456 transversals exceed the cap of 1048576",
+        ),
+        (
+            ["group", "show", "--group", "sym:9"],
+            "the order of sym:9 exceeds the cap of 5040",
+        ),
+    ):
+        assert cli.main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert cli.main(["dihedral", "count", "--p", "29"]) == 0
+    assert capsys.readouterr() == ("331185 = 331185\n", "")
 
 
 def test_dihedral_census_text():
@@ -414,6 +434,18 @@ def test_verify_malformed_catalog_exits_two(tmp_path):
         number_group: "error: catalog entry 0 has a 'group' that is not a string\n",
         list_subgroup: "error: catalog entry 1 has a 'subgroup' that is not a string\n",
     }
+    count = "that is not a non-negative integer"
+    for k, (facts, wrong) in enumerate(
+        (
+            ({"isotopy_classes": "two"}, f"'isotopy_classes' {count}"),
+            ({"normal": 0}, "'normal' that is not a boolean"),
+            ({"isotopy_classes": True}, f"'isotopy_classes' {count}"),
+            ({"loop_transversals": -1}, f"'loop_transversals' {count}"),
+        )
+    ):
+        bad_value = tmp_path / f"bad_value{k}.json"
+        bad_value.write_text(json.dumps([{**entry, "facts": facts}]))
+        expected[bad_value] = f"error: catalog entry 'a' has a fact {wrong}\n"
     for path, stderr in expected.items():
         result = run_cli("verify", "--check", "facts", "--catalog", str(path))
         assert result.returncode == 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from nrtloops import groups
 from nrtloops.groups import (
     CayleyFileError,
     FiniteGroup,
@@ -26,6 +27,7 @@ from nrtloops.groups import (
     subgroup,
     symmetric_group,
 )
+from nrtloops.perms import CapExceededError
 
 
 def steiner_loop_table():
@@ -101,8 +103,29 @@ def test_symmetric_group_layout():
     assert G.mul(1, 2) == 4
     assert G.inv(3) == 4
     assert symmetric_group(4).order == 24
-    with pytest.raises(GroupError):
+    with pytest.raises(CapExceededError, match="of sym:9 exceeds the cap of 5040"):
         symmetric_group(9)
+    with pytest.raises(GroupError, match="at least 1, got 0"):
+        symmetric_group(0)
+
+
+def test_named_constructors_check_the_order_cap(monkeypatch):
+    assert groups.GROUP_ORDER_CAP == 5040
+    for descriptor in ("sym:8", "alt:8", "cyclic:5041", "dihedral:2521"):
+        with pytest.raises(CapExceededError, match=f"order of {descriptor} exceeds"):
+            build_named_group(descriptor)
+    # The constructors are cached, so these arguments are built by no other
+    # test; a lowered cap must stop each one before it builds a table.
+    monkeypatch.setattr(groups, "GROUP_ORDER_CAP", 100)
+    for build, arg, descriptor in (
+        (cyclic_group, 101, "cyclic:101"),
+        (dihedral_group, 51, "dihedral:51"),
+        (symmetric_group, 6, "sym:6"),
+        (alternating_group, 6, "alt:6"),
+    ):
+        with pytest.raises(CapExceededError, match=f"order of {descriptor} exceeds"):
+            build(arg)
+    assert dihedral_group(50).order == 100
 
 
 def test_alternating_group():
@@ -263,6 +286,8 @@ def test_cayley_errors():
         loads_cayley("2\n0 1\n1 7\n")
     with pytest.raises(CayleyFileError, match="names line"):
         loads_cayley("2\n0 1\n1 0\nnames: a\n")
+    with pytest.raises(CayleyFileError, match="line 4: name 'a' is repeated"):
+        loads_cayley("2\n0 1\n1 0\nnames: a a\n")
     with pytest.raises(CayleyFileError, match="extra line"):
         loads_cayley("2\n0 1\n1 0\n0 1\n")
     with pytest.raises(CayleyFileError, match="identity"):

@@ -15,7 +15,6 @@ from nrtloops.isotopy import (
     ORACLE_ORDER_CAP,
     IsotopyWitness,
     NotLeftNonsingularError,
-    OrderTooLargeError,
     are_isomorphic,
     are_isotopic,
     autotopy_group,
@@ -26,7 +25,7 @@ from nrtloops.isotopy import (
     pseudo_automorphism_check,
     pseudo_autotopy_triple,
 )
-from nrtloops.perms import invert
+from nrtloops.perms import CapExceededError, invert
 from nrtloops.rightloops import (
     left_nonsingular_elements,
     validate_right_loop,
@@ -150,7 +149,7 @@ def test_oracle_agreement_on_three_points():
 def test_oracle_cap():
     assert ORACLE_ORDER_CAP == 7
     big = validate_right_loop(cyclic_group(8).table)
-    with pytest.raises(OrderTooLargeError):
+    with pytest.raises(CapExceededError, match="oracle is capped at order 7, got 8"):
         brute_force_isotopy_oracle(big, big)
     assert not brute_force_isotopy_oracle(
         validate_right_loop(T0), validate_right_loop([[0, 1], [1, 0]])
@@ -172,8 +171,6 @@ def test_classify_isomorphism():
     part = classify(loops4(), relation="iso")
     assert part.classes == ((0, 3), (1,), (2,))
     assert [r.table for r in part.representatives] == [T0, T1, T2]
-    # full name for the relation is accepted too
-    assert classify(loops4(), relation="isomorphism").classes == part.classes
 
 
 def transversal_loops(group, sub):
@@ -436,7 +433,7 @@ def test_autotopy_group_of_a_non_loop():
 def test_autotopy_cap():
     assert AUTOTOPY_ORDER_CAP == 8
     big = validate_right_loop(cyclic_group(9).table)
-    with pytest.raises(OrderTooLargeError):
+    with pytest.raises(CapExceededError, match="capped at order 8, got 9"):
         autotopy_group(big)
 
 

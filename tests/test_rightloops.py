@@ -3,8 +3,8 @@
 import pytest
 
 from nrtloops import rightloops
+from nrtloops.perms import CapExceededError
 from nrtloops.rightloops import (
-    ClosureTooLargeError,
     ColumnNotBijectiveError,
     NotIdentityError,
     RightLoop,
@@ -133,10 +133,10 @@ def test_close_permutations_cap(monkeypatch):
     monkeypatch.setattr(rightloops, "CLOSURE_CAP", 6)
     assert close_permutations(3, s3).order == 6
     monkeypatch.setattr(rightloops, "CLOSURE_CAP", 5)
-    with pytest.raises(ClosureTooLargeError):
+    with pytest.raises(CapExceededError, match="on 3 points has more than 5 elements"):
         close_permutations(3, s3)
     monkeypatch.setattr(rightloops, "CLOSURE_CAP", 1)
-    with pytest.raises(ClosureTooLargeError):
+    with pytest.raises(CapExceededError):
         group_torsion(validate_right_loop(LOOPISH))
 
 
