@@ -71,19 +71,12 @@ class AffineMap:
         if not 0 <= self.t < self.p:
             raise ValueError(f"t must be a residue mod {self.p}")
 
-    def __repr__(self):
-        return f"AffineMap(p={self.p}, mu={self.mu}, t={self.t})"
-
     def apply(self, x: int) -> int:
         return (self.mu * x + self.t) % self.p
 
     @cached_property
     def permutation(self) -> tuple[int, ...]:
         return tuple(self.apply(x) for x in range(self.p))
-
-    def inverse(self) -> "AffineMap":
-        mu_inv = pow(self.mu, -1, self.p)
-        return AffineMap(self.p, mu_inv, (-mu_inv * self.t) % self.p)
 
 
 @lru_cache(maxsize=None)

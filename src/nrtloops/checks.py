@@ -303,8 +303,7 @@ class _EntryData:
 
     def partition(self, relation: str):
         if relation not in self._partitions:
-            labels = tuple(t.label() for t in self.transversals)
-            self._partitions[relation] = classify(self.loops, relation, labels)
+            self._partitions[relation] = classify(self.loops, relation)
         return self._partitions[relation]
 
 
@@ -365,8 +364,8 @@ def _check_prop32(data: _EntryData) -> CheckReport:
                 data.entry.label,
                 "fail",
                 {
-                    "first": partition.labels[partition.classes[i][0]],
-                    "second": partition.labels[partition.classes[j][0]],
+                    "first": data.transversals[partition.classes[i][0]].label(),
+                    "second": data.transversals[partition.classes[j][0]].label(),
                 },
             )
     profiles = [
@@ -569,8 +568,8 @@ def _check_thm312(data: _EntryData) -> CheckReport:
                     data.entry.label,
                     "fail",
                     {
-                        "first": partition.labels[transitive[0]],
-                        "second": partition.labels[b],
+                        "first": data.transversals[transitive[0]].label(),
+                        "second": data.transversals[b].label(),
                     },
                 )
     if pairs == 0:
@@ -681,15 +680,18 @@ def _check_thm42(p: int) -> CheckReport:
 
 
 def run_suite(catalog=None, check_ids=None, ps=DEFAULT_PRIMES) -> list[CheckReport]:
-    """Run the requested checks (all by default) over the catalog entries
-    and the standalone prime-parameterized checks; reports come back in
-    catalog order within check-id order."""
+    """Run the requested checks (all by default; an empty selection is a
+    ValueError) over the catalog entries and the standalone
+    prime-parameterized checks; reports come back in catalog order within
+    check-id order."""
     if catalog is None:
         catalog = default_catalog()
     if check_ids is None:
         requested = list(CHECK_IDS)
     else:
         requested = list(check_ids)
+        if not requested:
+            raise ValueError("no check ids given")
         unknown = sorted(set(requested) - set(CHECK_IDS))
         if unknown:
             raise ValueError(f"unknown check ids: {', '.join(unknown)}")

@@ -229,47 +229,63 @@ def cmd_nrt_enumerate(args) -> int:
 def cmd_classify(args) -> int:
     G = build_named_group(args.group)
     H = parse_subgroup(G, args.subgroup)
-    transversals = list(enumerate_transversals(G, H, cap=args.cap))
-    loops = (induced_right_loop(t) for t in transversals)
-    labels = [t.label() for t in transversals]
-    partition = classify(loops, args.relation, labels)
+    labels = []
+
+    def loops():
+        # streams the loops, keeping only each transversal's label
+        for t in enumerate_transversals(G, H, cap=args.cap):
+            labels.append(t.label())
+            yield induced_right_loop(t)
+
+    partition = classify(loops(), args.relation)
+    classes = tuple(zip(partition.representatives, partition.classes))
     if args.format == "json":
-        obj = partition.to_json_obj()
-        obj["group"] = args.group
-        obj["subgroup"] = args.subgroup
-        obj["transversals"] = len(transversals)
-        obj["class_count"] = len(partition.classes)
+        obj = {
+            "relation": args.relation,
+            "group": args.group,
+            "subgroup": args.subgroup,
+            "transversals": len(labels),
+            "class_count": len(classes),
+            "classes": [
+                {
+                    "representative_table": [list(r) for r in rep.table],
+                    "members": [labels[i] for i in members],
+                    "size": len(members),
+                }
+                for rep, members in classes
+            ],
+        }
         _emit_json(args, obj)
-    elif args.format == "csv":
-        _emit_csv(args, partition.to_csv_rows())
-    else:
-        lines = [
-            f"{len(partition.classes)} {args.relation} classes over "
-            f"{len(transversals)} transversals of {args.subgroup} in {args.group}"
-        ]
-        for k, (rep, members) in enumerate(
-            zip(partition.representatives, partition.classes)
-        ):
-            flags = structure_flags(rep)
-            lns = len(left_nonsingular_elements(rep))
-            lines.append(
-                f"class {k}: size {len(members)}, "
-                f"left-nonsingular {lns}/{rep.order}"
-                + (", loop" if flags.is_loop else "")
-                + (", group" if flags.is_group else "")
-            )
-            for m in members:
-                lines.append(f"  {{{partition.labels[m]}}}")
-        _emit(args, "\n".join(lines))
+        return EXIT_OK
+    flags = [structure_flags(rep) for rep, _ in classes]
+    lns = [len(left_nonsingular_elements(rep)) for rep, _ in classes]
+    if args.format == "csv":
+        rows = [["class_id", "size", "is_loop", "n_left_nonsingular"]]
+        for k, (_, members) in enumerate(classes):
+            rows.append([k, len(members), flags[k].is_loop, lns[k]])
+        _emit_csv(args, rows)
+        return EXIT_OK
+    lines = [
+        f"{len(classes)} {args.relation} classes over "
+        f"{len(labels)} transversals of {args.subgroup} in {args.group}"
+    ]
+    for k, (rep, members) in enumerate(classes):
+        lines.append(
+            f"class {k}: size {len(members)}, "
+            f"left-nonsingular {lns[k]}/{rep.order}"
+            + (", loop" if flags[k].is_loop else "")
+            + (", group" if flags[k].is_group else "")
+        )
+        lines.extend(f"  {{{labels[m]}}}" for m in members)
+    _emit(args, "\n".join(lines))
     return EXIT_OK
 
 
 def cmd_dihedral(args) -> int:
     if args.mode == "census":
-        n = args.n if args.n is not None else args.p
-        if n is None or n < 2:
+        if args.n is None or args.n < 2:
             raise GroupError("census needs --n at least 2")
-        result = loop_transversal_census(n, cap=args.cap)
+        result = loop_transversal_census(args.n, cap=args.cap)
         if args.format == "json":
             _emit_json(args, result.to_json_obj())
         elif args.format == "csv":

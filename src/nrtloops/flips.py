@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .burnside import AffineMap, _require_odd_prime
+from .burnside import _require_odd_prime, affine_maps
 from .groups import dihedral_group, right_cosets, subgroup
 from .perms import CapExceededError
 from .rightloops import RightLoop, structure_flags, validate_right_loop
@@ -180,27 +180,18 @@ def loop_transversal_census(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Censu
 
 def affine_family(p: int, B) -> frozenset[FlipSet]:
     """The isotopy family of a subset B of nonzero residues mod an odd
-    prime: for the empty set just itself; otherwise, over every affine map
-    f, the preimage of B under f when f(0) is outside B, and the complement
-    of that preimage when f(0) is in B. Every member is again a subset of
-    the nonzero residues, and membership is symmetric."""
-    _require_odd_prime(p)
-    B = _as_flip_set(p, B)
-    if not B.members:
-        return frozenset([B])
+    prime: over every affine map f, the image f(B) when it misses 0, and
+    its complement when it holds 0. Every member is again a subset of the
+    nonzero residues, and membership is symmetric. Raises
+    CapExceededError above p = AFFINE_PRIME_CAP, as affine_maps does."""
+    maps = affine_maps(p)
+    members = _as_flip_set(p, B).members
     family = set()
-    b_set = B._member_set
-    for mu in range(1, p):
-        for u in range(p):
-            inv = AffineMap(p, mu, u).inverse()
-            preimage = {inv.apply(b) for b in b_set}
-            if u in b_set:
-                chosen = set(range(p)) - preimage
-            else:
-                chosen = preimage
-            if 0 in chosen:
-                raise AssertionError("family member contains 0")
-            family.add(FlipSet(p, tuple(chosen)))
+    for f in maps:
+        image = {f.permutation[b] for b in members}
+        if 0 in image:
+            image = set(range(p)) - image
+        family.add(FlipSet(p, tuple(image)))
     return frozenset(family)
 
 

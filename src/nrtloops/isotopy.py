@@ -26,12 +26,7 @@ from .perms import (
     invert,
     is_permutation,
 )
-from .rightloops import (
-    RightLoop,
-    left_nonsingular_elements,
-    structure_flags,
-    validate_right_loop,
-)
+from .rightloops import RightLoop, left_nonsingular_elements, validate_right_loop
 
 AUTOTOPY_ORDER_CAP = 8
 ORACLE_ORDER_CAP = 7
@@ -48,9 +43,6 @@ class IsotopyWitness:
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
     gamma: tuple[int, ...]
-
-    def __repr__(self):
-        return f"IsotopyWitness(alpha={self.alpha}, beta={self.beta}, gamma={self.gamma})"
 
     @classmethod
     def identity(cls, n: int) -> "IsotopyWitness":
@@ -299,8 +291,9 @@ def brute_force_isotopy_oracle(L1: RightLoop, L2: RightLoop) -> bool:
 
 @dataclass(frozen=True)
 class ClassPartition:
+    """Classes of loop indices, each with its representative loop."""
+
     relation: str
-    labels: tuple[str, ...]
     classes: tuple[tuple[int, ...], ...]
     representatives: tuple[RightLoop, ...]
 
@@ -314,28 +307,6 @@ class ClassPartition:
                 return k
         raise IndexError(index)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "relation": self.relation,
-            "classes": [
-                {
-                    "representative_table": [list(r) for r in rep.table],
-                    "members": [self.labels[i] for i in members],
-                    "size": len(members),
-                }
-                for rep, members in zip(self.representatives, self.classes)
-            ],
-        }
-
-    def to_csv_rows(self) -> list[list]:
-        rows = [["class_id", "size", "is_loop", "n_left_nonsingular"]]
-        for k, (rep, members) in enumerate(zip(self.representatives, self.classes)):
-            flags = structure_flags(rep)
-            rows.append(
-                [k, len(members), flags.is_loop, len(left_nonsingular_elements(rep))]
-            )
-        return rows
-
 
 def _is_isotopy(relation: str) -> bool:
     if relation not in ("iso", "isotopy"):
@@ -343,7 +314,7 @@ def _is_isotopy(relation: str) -> bool:
     return relation == "isotopy"
 
 
-def classify(loops, relation: str = "isotopy", labels=None) -> ClassPartition:
+def classify(loops, relation: str = "isotopy") -> ClassPartition:
     """Partition same-order right loops into equivalence classes in one
     pass over any iterable of them.
 
@@ -361,11 +332,7 @@ def classify(loops, relation: str = "isotopy", labels=None) -> ClassPartition:
     representatives: list[RightLoop] = []
     exact: dict[tuple, int] = {}  # target table -> class
     index: dict[tuple, list] = {}  # sorted signatures -> (class, table, signatures)
-    if labels is not None:
-        labels = tuple(labels)
     for i, loop in enumerate(loops):
-        if labels is not None and i >= len(labels):
-            raise ValueError("one label per loop required")
         if representatives and loop.order != representatives[0].order:
             raise ValueError("classification requires loops of equal order")
         k = exact.get(loop.table)
@@ -394,14 +361,7 @@ def classify(loops, relation: str = "isotopy", labels=None) -> ClassPartition:
                 index.setdefault(tuple(sorted(target_sigs)), []).append(
                     (k, target.table, target_sigs)
                 )
-    count = sum(map(len, classes))
-    if labels is None:
-        labels = tuple(str(i) for i in range(count))
-    elif len(labels) != count:
-        raise ValueError("one label per loop required")
-    return ClassPartition(
-        relation, labels, tuple(map(tuple, classes)), tuple(representatives)
-    )
+    return ClassPartition(relation, tuple(map(tuple, classes)), tuple(representatives))
 
 
 # ---------------------------------------------------------------------------

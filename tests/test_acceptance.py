@@ -70,7 +70,7 @@ def test_criterion_01_two_point_stabilizer_classification():
     transversals = list(enumerate_transversals(G, H))
     assert len(transversals) == 4
     loops = [induced_right_loop(t) for t in transversals]
-    partition = classify(loops, "isotopy", [t.label() for t in transversals])
+    partition = classify(loops, "isotopy")
     assert len(partition.classes) == 2
     assert sorted(len(c) for c in partition.classes) == [1, 3]
     loop_indices = [

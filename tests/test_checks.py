@@ -275,7 +275,7 @@ def test_thm312_fails_when_transitive_members_are_not_isomorphic(monkeypatch):
             return partition
         return dataclasses.replace(
             partition,
-            classes=tuple((m,) for m in range(len(partition.labels))),
+            classes=tuple((m,) for m in range(len(self.loops))),
             representatives=self.loops,
         )
 

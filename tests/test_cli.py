@@ -2,13 +2,16 @@
 test patches the package."""
 
 import csv
+import gc
 import io
 import json
 import subprocess
 import sys
 
 from nrtloops import cli
+from nrtloops.isotopy import classify
 from nrtloops.perms import CapExceededError
+from nrtloops.transversals import Transversal
 
 
 def run_cli(*argv):
@@ -197,14 +200,46 @@ def test_classify_json():
         "--format", "json",
     )
     assert result.returncode == 0
-    obj = json.loads(result.stdout)
-    assert obj["relation"] == "isotopy"
-    assert obj["group"] == "sym:3"
-    assert obj["subgroup"] == "(2,3)"
-    assert obj["transversals"] == 4
-    assert obj["class_count"] == 2
-    assert obj["classes"][0]["size"] == 3
-    assert obj["classes"][1]["members"] == ["I,(1,3,2),(1,2,3)"]
+    assert json.loads(result.stdout) == {
+        "relation": "isotopy",
+        "group": "sym:3",
+        "subgroup": "(2,3)",
+        "transversals": 4,
+        "class_count": 2,
+        "classes": [
+            {
+                "representative_table": [[0, 1, 2], [1, 0, 0], [2, 2, 1]],
+                "members": ["I,(1,2),(1,2,3)", "I,(1,2),(1,3)", "I,(1,3,2),(1,3)"],
+                "size": 3,
+            },
+            {
+                "representative_table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                "members": ["I,(1,3,2),(1,2,3)"],
+                "size": 1,
+            },
+        ],
+    }
+
+
+def test_classify_keeps_no_transversals(monkeypatch, capsys):
+    """When classification ends, the command holds at most the transversal
+    being streamed, not a list of all of them."""
+
+    def live_transversals():
+        return sum(isinstance(o, Transversal) for o in gc.get_objects())
+
+    held = []
+
+    def counting_classify(loops, relation):
+        partition = classify(loops, relation)
+        held.append(live_transversals() - before)
+        return partition
+
+    monkeypatch.setattr(cli, "classify", counting_classify)
+    before = live_transversals()
+    assert cli.main(["classify", "--group", "dihedral:5", "--subgroup", "x"]) == 0
+    assert capsys.readouterr().out.startswith("3 isotopy classes over 16 transversals")
+    assert len(held) == 1 and held[0] <= 1
 
 
 def test_classify_dihedral_mirror():
@@ -305,6 +340,10 @@ def test_size_caps_exit_three(capsys):
     for argv, message in (
         (["dihedral", "count", "--p", "37"], "affine_maps is capped at p = 31"),
         (
+            ["dihedral", "families", "--p", "37", "--B", "1"],
+            "affine_maps is capped at p = 31",
+        ),
+        (
             ["verify", "--check", "thm4.2", "--p", "29"],
             "268435456 transversals exceed the cap of 1048576",
         ),
@@ -335,9 +374,10 @@ def test_dihedral_census_json():
 
 
 def test_dihedral_census_errors():
-    missing = run_cli("dihedral", "census")
-    assert missing.returncode == 2
-    assert missing.stderr == "error: census needs --n at least 2\n"
+    for argv in ((), ("--p", "6")):
+        missing = run_cli("dihedral", "census", *argv)
+        assert missing.returncode == 2
+        assert missing.stderr == "error: census needs --n at least 2\n"
     capped = run_cli("dihedral", "census", "--n", "20", "--cap", "100")
     assert capped.returncode == 3
     assert capped.stderr == "error: 524288 transversals exceed the cap of 100\n"
@@ -409,10 +449,15 @@ def test_verify_all_passes():
 
 
 def test_verify_unknown_check():
-    for ids in ("nope", "nope,nope"):
+    for ids, message in (
+        ("nope", "unknown check ids: nope"),
+        ("nope,nope", "unknown check ids: nope"),
+        ("", "no check ids given"),
+        (",", "no check ids given"),
+    ):
         result = run_cli("verify", "--check", ids)
         assert result.returncode == 2
-        assert result.stderr == "error: unknown check ids: nope\n"
+        assert (result.stdout, result.stderr) == ("", f"error: {message}\n")
 
 
 def test_verify_malformed_catalog_exits_two(tmp_path):
