@@ -15,6 +15,7 @@ exists to cross-check it.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -252,36 +253,47 @@ def _verified(witness: IsotopyWitness, source: RightLoop, target: RightLoop):
 def brute_force_isotopy_oracle(L1: RightLoop, L2: RightLoop) -> bool:
     """Decide isotopy straight from the definition.
 
-    For any isotopy (alpha, beta, gamma), putting y = 0 in the defining
-    identity forces gamma = R(beta(0)) o alpha, so gamma is a column of the
-    row-reindexed table M[x][y] = t2[alpha(x)][y]; and beta(y) is then the
-    unique column of M equal to gamma applied to column y of t1 (columns of
-    a right-loop table are pairwise distinct maps). The scan over alpha is
-    exhaustive."""
+    Write R(y) for the right translation x -> x * y, the column y of the
+    table, and C1, C2 for the column sets of L1, L2. The defining identity
+    of an isotopy (alpha, beta, gamma) reads R2(beta(y)) o alpha =
+    gamma o R1(y). Putting y = 0 forces gamma = R2(z) o alpha with
+    z = beta(0), so R2(z)^-1 o R2(beta(y)) = alpha o R1(y) o alpha^-1 for
+    every y. Since the columns of a right loop are pairwise distinct and
+    beta is a bijection, the loops are isotopic exactly when the sets
+    R2(z)^-1 o C2 and alpha o C1 o alpha^-1 are equal for some z and some
+    alpha; beta is then read off that equality. Conjugation keeps the
+    number of fixed points of each map, so a target whose sorted
+    fixed-point counts differ from those of C1 is dropped first. The scan
+    over alpha is exhaustive."""
     n = L1.order
     if L2.order != n:
         return False
     if n > ORACLE_ORDER_CAP:
         raise CapExceededError(f"oracle is capped at order {ORACLE_ORDER_CAP}, got {n}")
-    t1, t2 = L1.table, L2.table
-    rng = range(n)
-    cols1 = [tuple(t1[x][y] for x in rng) for y in rng]
-    for alpha in itertools.permutations(rng):
-        m_rows = [t2[a] for a in alpha]
-        col_keys = [tuple(row[y] for row in m_rows) for y in rng]
-        col_index = {key: y for y, key in enumerate(col_keys)}
-        for gamma in col_keys:
-            betas = set()
-            ok = True
-            for y in rng:
-                target = tuple(gamma[v] for v in cols1[y])
-                hit = col_index.get(target)
-                if hit is None:
-                    ok = False
-                    break
-                betas.add(hit)
-            if ok and len(betas) == n:
-                return True
+    if n == 1:
+        return True  # [[0]] is the one right loop of order 1
+    cols1, cols2 = L1.columns, L2.columns
+
+    def fixed_counts(maps):
+        return sorted(sum(i == v for i, v in enumerate(m)) for m in maps)
+
+    want = fixed_counts(cols1)
+    # operator.itemgetter(*c)(p) is the tuple of p o c
+    getters2 = [operator.itemgetter(*c) for c in cols2]
+    targets = set()
+    for r in cols2:
+        r_inv = invert(r)
+        target = frozenset(g(r_inv) for g in getters2)
+        if fixed_counts(target) == want:
+            targets.add(target)
+    if not targets:
+        return False
+    getters = [operator.itemgetter(*c) for c in cols1]
+    for alpha in itertools.permutations(range(n)):
+        back = operator.itemgetter(*invert(alpha))
+        # back(g(alpha)) is alpha o c o alpha^-1 for the column c behind g
+        if frozenset(back(g(alpha)) for g in getters) in targets:
+            return True
     return False
 
 

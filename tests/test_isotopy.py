@@ -156,6 +156,94 @@ def test_oracle_cap():
     )
 
 
+def test_oracle_edge_cases():
+    one = validate_right_loop([[0]])
+    two = validate_right_loop([[0, 1], [1, 0]])  # the one right loop of order 2
+    assert brute_force_isotopy_oracle(one, one)
+    assert brute_force_isotopy_oracle(two, two)
+    assert not brute_force_isotopy_oracle(one, two)
+    assert not brute_force_isotopy_oracle(two, one)
+    loops = loops4()
+    assert not brute_force_isotopy_oracle(one, loops[0])
+    assert not brute_force_isotopy_oracle(loops[0], two)
+    for a in loops:
+        for b in loops:
+            assert brute_force_isotopy_oracle(a, b) == brute_force_isotopy_oracle(b, a)
+
+
+def _reference_oracle(L1, L2):
+    """The oracle's answer by a slower route, without the set-conjugation
+    test: for every alpha, gamma runs over the columns of the row-reindexed
+    table and beta is rebuilt column by column."""
+    n = L1.order
+    if L2.order != n:
+        return False
+    t1, t2 = L1.table, L2.table
+    rng = range(n)
+    cols1 = [tuple(t1[x][y] for x in rng) for y in rng]
+    for alpha in itertools.permutations(rng):
+        m_rows = [t2[a] for a in alpha]
+        col_keys = [tuple(row[y] for row in m_rows) for y in rng]
+        col_index = {key: y for y, key in enumerate(col_keys)}
+        for gamma in col_keys:
+            betas = set()
+            ok = True
+            for y in rng:
+                target = tuple(gamma[v] for v in cols1[y])
+                hit = col_index.get(target)
+                if hit is None:
+                    ok = False
+                    break
+                betas.add(hit)
+            if ok and len(betas) == n:
+                return True
+    return False
+
+
+def _passes_fixed_point_filter(L1, L2):
+    """Whether some z gives R2(z)^-1 o C2 the sorted fixed-point counts of
+    C1, the test the oracle makes before its scan over alpha."""
+    n = L1.order
+    cols1 = [tuple(L1.table[x][y] for x in range(n)) for y in range(n)]
+    cols2 = [tuple(L2.table[x][y] for x in range(n)) for y in range(n)]
+    want = sorted(sum(c[x] == x for x in range(n)) for c in cols1)
+    return any(
+        sorted(sum(c[x] == r[x] for x in range(n)) for c in cols2) == want
+        for r in cols2
+    )
+
+
+def test_oracle_matches_the_reference_oracle():
+    rng = random.Random(10)
+    loops = loops4()
+    samples = {"loops4": list(itertools.product(loops, repeat=2))}
+    for group, sub in [("alt:4", "(1,2)(3,4)"), ("dihedral:7", "x")]:
+        pool = transversal_loops(group, sub)
+        samples[group] = [tuple(rng.sample(pool, 2)) for _ in range(20)]
+    for name, pairs in samples.items():
+        scanned_false = 0
+        for a, b in pairs:
+            answer = brute_force_isotopy_oracle(a, b)
+            assert answer == _reference_oracle(a, b), (name, a.table, b.table)
+            if not answer and _passes_fixed_point_filter(a, b):
+                scanned_false += 1
+        if name != "loops4":
+            # non-isotopic pairs that reach the scan over alpha
+            assert scanned_false > 0, name
+
+
+def test_order_four_census_matches_classify():
+    loops = transversal_loops("sym:4", "(1,2) (1,2,3)")
+    assert len(loops) == len({loop.table for loop in loops}) == 216
+    part = classify(loops, "isotopy")
+    assert len(part.classes) == 18
+    class_of = [part.class_of(i) for i in range(len(loops))]
+    for i, j in itertools.combinations(range(len(loops)), 2):  # 23,220 pairs
+        assert brute_force_isotopy_oracle(loops[i], loops[j]) == (
+            class_of[i] == class_of[j]
+        ), (i, j)
+
+
 def test_classify_isotopy():
     part = classify(loops4(), relation="isotopy")
     assert part.classes == ((0, 1, 3), (2,))
