@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .perms import (
     CapExceededError,
     compose,
-    cycle_type,
     identity_perm,
     invert,
     is_permutation,
@@ -85,44 +84,53 @@ class IsotopyWitness:
 
 def _signatures(loop: RightLoop):
     """Per-element invariants preserved by any isomorphism: the row's value
-    multiplicities, the column's cycle type, and idempotence."""
+    multiplicities, the column's sorted cycle lengths, and idempotence."""
     n = loop.order
-    t = loop.table
     sigs = []
-    for x in range(n):
-        counts = tuple(sorted(Counter(t[x]).values()))
-        sigs.append((counts, cycle_type(loop.columns[x]), t[x][x] == x))
+    for x, (row, column) in enumerate(zip(loop.table, loop.columns)):
+        seen = [False] * n
+        lengths = []
+        for start in range(n):
+            if seen[start]:
+                continue
+            length = 0
+            y = start
+            while not seen[y]:
+                seen[y] = True
+                y = column[y]
+                length += 1
+            lengths.append(length)
+        lengths.sort()
+        counts = tuple(sorted(map(row.count, set(row))))
+        sigs.append((counts, tuple(lengths), row[x] == x))
     return sigs
 
 
-def _propagate(t1, t2, f, used, sig1, sig2) -> bool:
+def _propagate(t1, t2, f, used, done, queue, sig1, sig2) -> bool:
     """Close a partial map under f(a*b) = f(a)*f(b); returns False on any
-    conflict. Assigns forced images as it goes."""
-    n = len(f)
-    while True:
-        progressed = False
-        for a in range(n):
-            fa = f[a]
-            if fa < 0:
-                continue
-            row1, row2 = t1[a], t2[fa]
-            for b in range(n):
-                fb = f[b]
-                if fb < 0:
-                    continue
-                v, w = row1[b], row2[fb]
+    conflict. Every assigned point is in done, whose pairs have all been
+    checked, or in queue; a point leaves queue for done once its pairs with
+    itself and with done are checked, and each forced image joins queue."""
+    while queue:
+        a = queue.pop()
+        done.append(a)
+        fa = f[a]
+        row1, row2 = t1[a], t2[fa]
+        for b in done:
+            fb = f[b]
+            # a*b must go to f(a)*f(b), and b*a to f(b)*f(a)
+            for v, w in ((row1[b], row2[fb]), (t1[b][a], t2[fb][fa])):
                 fv = f[v]
                 if fv >= 0:
                     if fv != w:
                         return False
+                elif used[w] or sig1[v] != sig2[w]:
+                    return False
                 else:
-                    if used[w] or sig1[v] != sig2[w]:
-                        return False
                     f[v] = w
                     used[w] = True
-                    progressed = True
-        if not progressed:
-            return True
+                    queue.append(v)
+    return True
 
 
 def _isomorphisms(t1, t2, sig1, sig2):
@@ -131,13 +139,13 @@ def _isomorphisms(t1, t2, sig1, sig2):
     n = len(t1)
     if sig1[0] != sig2[0]:
         return
-    candidates = [
-        tuple(c for c in range(n) if sig2[c] == sig1[x]) for x in range(n)
-    ]
+    positions: dict[tuple, list[int]] = {}
+    for c, sig in enumerate(sig2):
+        positions.setdefault(sig, []).append(c)
+    candidates = [positions.get(sig, ()) for sig in sig1]
 
-    def extend(f, used):
-        x = next((i for i in range(n) if f[i] < 0), -1)
-        if x < 0:
+    def extend(f, used, done):
+        if -1 not in f:
             final = tuple(f)
             if all(
                 t2[final[a]][final[b]] == final[t1[a][b]]
@@ -146,20 +154,21 @@ def _isomorphisms(t1, t2, sig1, sig2):
             ):
                 yield final
             return
+        x = f.index(-1)
         for c in candidates[x]:
             if used[c]:
                 continue
-            f2, used2 = f[:], used[:]
+            f2, used2, done2 = f[:], used[:], done[:]
             f2[x] = c
             used2[c] = True
-            if _propagate(t1, t2, f2, used2, sig1, sig2):
-                yield from extend(f2, used2)
+            if _propagate(t1, t2, f2, used2, done2, [x], sig1, sig2):
+                yield from extend(f2, used2, done2)
 
-    f0, used0 = [-1] * n, [False] * n
+    f0, used0, done0 = [-1] * n, [False] * n, []
     f0[0] = 0
     used0[0] = True
-    if _propagate(t1, t2, f0, used0, sig1, sig2):
-        yield from extend(f0, used0)
+    if _propagate(t1, t2, f0, used0, done0, [0], sig1, sig2):
+        yield from extend(f0, used0, done0)
 
 
 def isomorphisms(L1: RightLoop, L2: RightLoop):
@@ -313,11 +322,15 @@ class ClassPartition:
         sizes = [len(c) for c in self.classes]
         return f"ClassPartition({self.relation}, sizes={sizes})"
 
+    @cached_property
+    def _class_index(self) -> dict[int, int]:
+        return {i: k for k, members in enumerate(self.classes) for i in members}
+
     def class_of(self, index: int) -> int:
-        for k, members in enumerate(self.classes):
-            if index in members:
-                return k
-        raise IndexError(index)
+        try:
+            return self._class_index[index]
+        except KeyError:
+            raise IndexError(index) from None
 
 
 def _is_isotopy(relation: str) -> bool:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,7 @@ from nrtloops.isotopy import (
     pseudo_automorphism_check,
     pseudo_autotopy_triple,
 )
-from nrtloops.perms import CapExceededError, invert
+from nrtloops.perms import CapExceededError, cycle_type, invert
 from nrtloops.rightloops import (
     left_nonsingular_elements,
     validate_right_loop,
@@ -242,6 +243,75 @@ def test_order_four_census_matches_classify():
         assert brute_force_isotopy_oracle(loops[i], loops[j]) == (
             class_of[i] == class_of[j]
         ), (i, j)
+
+
+def _brute_force_isomorphisms(loop):
+    """Map each table onto the maps f with f[0] = 0 and f(x*y) = f(x)*f(y)
+    that carry loop onto it, in lexicographic order: f is such a map onto
+    L2 exactly when L2's table is the image of loop's table under f."""
+    n = loop.order
+    t = loop.table
+    found = {}
+    for rest in itertools.permutations(range(1, n)):
+        f = (0, *rest)
+        image = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                image[f[x]][f[y]] = f[t[x][y]]
+        found.setdefault(tuple(map(tuple, image)), []).append(f)
+    return found
+
+
+def test_isomorphisms_match_brute_force():
+    loops = transversal_loops("sym:4", "(1,2) (1,2,3)")
+    assert len(loops) == 216
+    d5 = transversal_loops("dihedral:5", "x")
+    rng = random.Random(17)
+    pairs = list(itertools.product(loops, repeat=2))  # 46,656 ordered pairs
+    pairs += [tuple(rng.choice(d5) for _ in range(2)) for _ in range(80)]
+    expected = {a.table: _brute_force_isomorphisms(a) for a in loops + d5}
+    isomorphic = 0
+    for a, b in pairs:
+        got = list(isomorphisms(a, b))
+        assert len(set(got)) == len(got), (a.table, b.table)
+        # the search fixes the least unassigned point first and tries its
+        # images in ascending order, so it yields the maps in sorted order
+        assert got == expected[a.table].get(b.table, []), (a.table, b.table)
+        isomorphic += bool(got)
+    assert 0 < isomorphic < len(pairs)
+
+
+def test_signatures_separate_positions_as_before():
+    """The one-pass signatures induce the equality relation of the old
+    definition on (loop, position) pairs, within a loop and across loops."""
+
+    def old_signatures(loop):
+        t = loop.table
+        return [
+            (
+                tuple(sorted(Counter(t[x]).values())),
+                cycle_type(loop.columns[x]),
+                t[x][x] == x,
+            )
+            for x in range(loop.order)
+        ]
+
+    pools = [
+        ("dihedral:7", "x"),
+        ("alt:4", "(1,2)(3,4)"),
+        ("sym:4", "(1,2)"),
+        # every right loop of order 4; the only pool here on which the
+        # number of distinct row values is coarser than the multiplicities
+        ("sym:4", "(1,2) (1,2,3)"),
+    ]
+    old, new = [], []
+    for group, sub in pools:
+        for loop in transversal_loops(group, sub):
+            old += old_signatures(loop)
+            new += isotopy._signatures(loop)
+    assert len(old) == len(new) == 64 * 7 + 32 * 6 + 2048 * 12 + 216 * 4
+    # equal under one definition exactly when equal under the other
+    assert len(set(zip(old, new))) == len(set(old)) == len(set(new))
 
 
 def test_classify_isotopy():
