@@ -77,7 +77,6 @@ from .isotopy import (
     are_isomorphic,
     are_isotopic,
     autotopy_group,
-    brute_force_isotopy_oracle,
     classify,
     isomorphisms,
     principal_isotope_with_relabel,
@@ -95,6 +94,7 @@ from .perms import (
     parse_cycles,
     perm_parity,
 )
+from .reference import ORACLE_ORDER_CAP, brute_force_isotopy_oracle
 from .rightloops import (
     ColumnNotBijectiveError,
     NotIdentityError,

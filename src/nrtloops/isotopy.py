@@ -7,15 +7,14 @@ isotope, so the decision procedure searches principal isotopes of the
 source and composes the factorization into an explicit witness, which is
 re-verified against the defining identity before being returned.
 
-``brute_force_isotopy_oracle`` decides the same question from the raw
-definition by exhausting alpha; it shares no code with the search path and
-exists to cross-check it.
+``brute_force_isotopy_oracle`` and ``ORACLE_ORDER_CAP`` are re-exported
+from ``reference``, which decides the same question from the raw
+definition, shares no code with the search path and exists to cross-check
+it.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,10 +25,10 @@ from .perms import (
     invert,
     is_permutation,
 )
-from .rightloops import RightLoop, left_nonsingular_elements, validate_right_loop
+from .reference import ORACLE_ORDER_CAP, brute_force_isotopy_oracle  # re-exported
+from .rightloops import RightLoop, _trusted_right_loop, left_nonsingular_elements
 
 AUTOTOPY_ORDER_CAP = 8
-ORACLE_ORDER_CAP = 7
 
 
 class NotLeftNonsingularError(ValueError):
@@ -133,6 +132,32 @@ def _propagate(t1, t2, f, used, done, queue, sig1, sig2) -> bool:
     return True
 
 
+def _extend(t1, t2, sig1, sig2, candidates, f, used, done):
+    """Yield every isomorphism that extends the closed partial map f, by
+    assigning its least unassigned point each candidate in turn. A
+    module-level generator, not a closure over the search's state, so a
+    finished search leaves no reference cycle behind."""
+    if -1 not in f:
+        final = tuple(f)
+        n = len(t1)
+        if all(
+            t2[final[a]][final[b]] == final[t1[a][b]]
+            for a in range(n)
+            for b in range(n)
+        ):
+            yield final
+        return
+    x = f.index(-1)
+    for c in candidates[x]:
+        if used[c]:
+            continue
+        f2, used2, done2 = f[:], used[:], done[:]
+        f2[x] = c
+        used2[c] = True
+        if _propagate(t1, t2, f2, used2, done2, [x], sig1, sig2):
+            yield from _extend(t1, t2, sig1, sig2, candidates, f2, used2, done2)
+
+
 def _isomorphisms(t1, t2, sig1, sig2):
     """Yield every isomorphism from the table t1 onto the table t2 (as an
     image tuple, f[0] = 0), given the tables' element signatures."""
@@ -143,32 +168,11 @@ def _isomorphisms(t1, t2, sig1, sig2):
     for c, sig in enumerate(sig2):
         positions.setdefault(sig, []).append(c)
     candidates = [positions.get(sig, ()) for sig in sig1]
-
-    def extend(f, used, done):
-        if -1 not in f:
-            final = tuple(f)
-            if all(
-                t2[final[a]][final[b]] == final[t1[a][b]]
-                for a in range(n)
-                for b in range(n)
-            ):
-                yield final
-            return
-        x = f.index(-1)
-        for c in candidates[x]:
-            if used[c]:
-                continue
-            f2, used2, done2 = f[:], used[:], done[:]
-            f2[x] = c
-            used2[c] = True
-            if _propagate(t1, t2, f2, used2, done2, [x], sig1, sig2):
-                yield from extend(f2, used2, done2)
-
     f0, used0, done0 = [-1] * n, [False] * n, []
     f0[0] = 0
     used0[0] = True
     if _propagate(t1, t2, f0, used0, done0, [0], sig1, sig2):
-        yield from extend(f0, used0, done0)
+        yield from _extend(t1, t2, sig1, sig2, candidates, f0, used0, done0)
 
 
 def isomorphisms(L1: RightLoop, L2: RightLoop):
@@ -203,6 +207,8 @@ def principal_isotope_with_relabel(
     the isotope."""
     _require_left_nonsingular(loop, a)
     n = loop.order
+    if b not in range(n):
+        raise ValueError(f"element {b} is out of range 0..{n - 1}")
     t = loop.table
     e = t[a][b]
     swap = list(range(n))
@@ -212,13 +218,15 @@ def principal_isotope_with_relabel(
         tuple(swap[v] for v in t[a]),
         tuple(swap),
     )
-    # the isotope is the image of the table: alpha(x) . beta(y) = s(x * y)
+    # the isotope is the image of the table: alpha(x) . beta(y) = s(x * y);
+    # it is a right loop with identity 0 by construction, so it is not
+    # validated again
     rows = [[0] * n for _ in range(n)]
     for ax, tx in zip(principal.alpha, t):
         row = rows[ax]
         for by, v in zip(principal.beta, tx):
             row[by] = swap[v]
-    return validate_right_loop(rows), principal
+    return _trusted_right_loop(tuple(map(tuple, rows))), principal
 
 
 def _principal_isotopes(loop: RightLoop):
@@ -253,57 +261,6 @@ def _verified(witness: IsotopyWitness, source: RightLoop, target: RightLoop):
     if not witness.verify(source, target):
         raise AssertionError("isotopy witness failed verification")
     return witness
-
-
-# ---------------------------------------------------------------------------
-# independent brute-force oracle
-
-
-def brute_force_isotopy_oracle(L1: RightLoop, L2: RightLoop) -> bool:
-    """Decide isotopy straight from the definition.
-
-    Write R(y) for the right translation x -> x * y, the column y of the
-    table, and C1, C2 for the column sets of L1, L2. The defining identity
-    of an isotopy (alpha, beta, gamma) reads R2(beta(y)) o alpha =
-    gamma o R1(y). Putting y = 0 forces gamma = R2(z) o alpha with
-    z = beta(0), so R2(z)^-1 o R2(beta(y)) = alpha o R1(y) o alpha^-1 for
-    every y. Since the columns of a right loop are pairwise distinct and
-    beta is a bijection, the loops are isotopic exactly when the sets
-    R2(z)^-1 o C2 and alpha o C1 o alpha^-1 are equal for some z and some
-    alpha; beta is then read off that equality. Conjugation keeps the
-    number of fixed points of each map, so a target whose sorted
-    fixed-point counts differ from those of C1 is dropped first. The scan
-    over alpha is exhaustive."""
-    n = L1.order
-    if L2.order != n:
-        return False
-    if n > ORACLE_ORDER_CAP:
-        raise CapExceededError(f"oracle is capped at order {ORACLE_ORDER_CAP}, got {n}")
-    if n == 1:
-        return True  # [[0]] is the one right loop of order 1
-    cols1, cols2 = L1.columns, L2.columns
-
-    def fixed_counts(maps):
-        return sorted(sum(i == v for i, v in enumerate(m)) for m in maps)
-
-    want = fixed_counts(cols1)
-    # operator.itemgetter(*c)(p) is the tuple of p o c
-    getters2 = [operator.itemgetter(*c) for c in cols2]
-    targets = set()
-    for r in cols2:
-        r_inv = invert(r)
-        target = frozenset(g(r_inv) for g in getters2)
-        if fixed_counts(target) == want:
-            targets.add(target)
-    if not targets:
-        return False
-    getters = [operator.itemgetter(*c) for c in cols1]
-    for alpha in itertools.permutations(range(n)):
-        back = operator.itemgetter(*invert(alpha))
-        # back(g(alpha)) is alpha o c o alpha^-1 for the column c behind g
-        if frozenset(back(g(alpha)) for g in getters) in targets:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +409,41 @@ def autotopy_group(loop: RightLoop) -> AutotopyGroup:
             raise AssertionError("constructed autotopy failed verification")
         if w.inverse() not in found:
             raise AssertionError("autotopy set is not closed under inversion")
-    # closure under composition; quadratic but the order cap keeps it small
-    for w1 in witnesses:
-        for w2 in witnesses:
-            if w1.then(w2) not in found:
-                raise AssertionError("autotopy set is not closed under composition")
+    _check_closed(found, witnesses, n)
     return AutotopyGroup(loop, tuple(witnesses))
+
+
+def _check_closed(found, witnesses, n: int) -> None:
+    """Raise AssertionError unless the set found of witnesses on n points,
+    listed in order by witnesses, is closed under composition, i.e. a
+    group, in |found| * |X| compositions.
+
+    Walk from the identity under a generating set X, picked greedily from
+    witnesses in order: each witness not yet reached joins X. Every
+    reached element is composed with every generator, and the walk stops
+    at the first product outside found. If none leaves it, the walk
+    reaches the group generated by X inside found, which holds every
+    witness; so found is that group."""
+    identity = IsotopyWitness.identity(n)
+    if identity not in found:
+        raise AssertionError("autotopy set is not closed under composition")
+    reached, generators = {identity}, []
+    for w in witnesses:
+        if w in reached:
+            continue
+        generators.append(w)
+        # the elements reached so far meet the new generator once, and each
+        # element reached from now on meets every generator once
+        queue = [(r, (w,)) for r in reached]
+        while queue:
+            r, gens = queue.pop()
+            for g in gens:
+                product = r.then(g)
+                if product not in found:
+                    raise AssertionError("autotopy set is not closed under composition")
+                if product not in reached:
+                    reached.add(product)
+                    queue.append((product, generators))
 
 
 def pseudo_automorphism_check(

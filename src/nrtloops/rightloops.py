@@ -84,6 +84,16 @@ def validate_right_loop(table) -> RightLoop:
     return RightLoop(len(rows), rows)
 
 
+def _trusted_right_loop(table: tuple[tuple[int, ...], ...]) -> RightLoop:
+    """A RightLoop from a tuple of row tuples that is a right loop by
+    construction, such as a principal isotope, without checking it again.
+    Tables from outside go through validate_right_loop."""
+    loop = object.__new__(RightLoop)
+    object.__setattr__(loop, "order", len(table))
+    object.__setattr__(loop, "table", table)
+    return loop
+
+
 def left_nonsingular_elements(loop: RightLoop) -> tuple[int, ...]:
     """Elements whose left translation (table row) is a bijection."""
     everything = set(range(loop.order))

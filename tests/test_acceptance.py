@@ -4,7 +4,7 @@ Each test prints a single summary line on success, so running this module
 with `pytest -v` (or `-s`) yields one pass/fail line per criterion. The
 exhaustive sweeps have no time bound and are kept exact rather than
 sampled; the longest, criterion 8, decides every pair of its pools with
-the brute-force oracle in about 20 seconds.
+the brute-force oracle in about 5 seconds.
 """
 
 import itertools

@@ -1,5 +1,6 @@
 """Tests for isotopy witnesses, classification, and autotopy groups."""
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -107,6 +108,29 @@ def test_principal_isotope_requires_bijective_row():
     for a in (-1, 3):
         with pytest.raises(NotLeftNonsingularError):
             principal_isotope_with_relabel(z3, a, 0)
+
+
+def test_principal_isotope_rejects_b_out_of_range():
+    z3 = validate_right_loop(T2)
+    for b in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            principal_isotope_with_relabel(z3, 0, b)
+
+
+@pytest.mark.parametrize(
+    "group, sub", [("dihedral:7", "x"), ("alt:4", "(1,2)(3,4)"), ("sym:4", "(1,2)")]
+)
+def test_principal_isotopes_are_right_loops(group, sub):
+    """Principal isotopes skip validation; checking them all again finds the
+    same right loops."""
+    rng = random.Random(14)
+    for loop in rng.sample(transversal_loops(group, sub), 4):
+        for a in left_nonsingular_elements(loop):
+            for b in range(loop.order):
+                isotope, principal = principal_isotope_with_relabel(loop, a, b)
+                assert isotope == validate_right_loop(isotope.table)
+                assert all(type(row) is tuple for row in isotope.table)
+                assert principal.verify(loop, isotope)
 
 
 def test_principal_isotopes_stay_isotopic():
@@ -566,6 +590,68 @@ def test_autotopy_group_of_a_non_loop():
     ag = autotopy_group(L3)
     assert (ag.u_size, ag.a1_size, ag.a2_size, ag.aut_size) == (2, 2, 1, 1)
     assert ag.automorphisms == ((0, 1, 2),)
+
+
+def _closed_under_all_pairs(found):
+    return all(w1.then(w2) in found for w1 in found for w2 in found)
+
+
+def test_closure_walk_matches_the_all_pairs_definition():
+    group = autotopy_group(validate_right_loop(cyclic_group(5).table)).elements
+    identity = IsotopyWitness.identity(5)
+    rng = random.Random(15)
+    dropped = rng.choice([w for w in group if w != identity])
+    samples = {
+        "group": (list(group), True),
+        "group minus one element": ([w for w in group if w != dropped], False),
+        "group without the identity": ([w for w in group if w != identity], False),
+    }
+    for name, (witnesses, closed) in samples.items():
+        found = set(witnesses)
+        assert _closed_under_all_pairs(found) == closed, name
+        if closed:
+            isotopy._check_closed(found, witnesses, 5)
+        else:
+            with pytest.raises(AssertionError, match="not closed under composition"):
+                isotopy._check_closed(found, witnesses, 5)
+
+
+@pytest.mark.parametrize(
+    "name, sizes",
+    [
+        ("cyclic:3", (18, 6, 6, 2)),
+        ("cyclic:5", (100, 20, 20, 4)),
+        ("cyclic:6", (72, 12, 12, 2)),
+        ("cyclic:7", (294, 42, 42, 6)),
+        ("dihedral:3", (216, 36, 36, 6)),
+        ("dihedral:4", (512, 64, 64, 8)),
+    ],
+)
+def test_autotopy_groups_of_group_tables(name, sizes):
+    loop = validate_right_loop(build_named_group(name).table)
+    ag = autotopy_group(loop)
+    assert (ag.u_size, ag.a1_size, ag.a2_size, ag.aut_size) == sizes
+    if ag.u_size <= 100:  # the all-pairs test is quadratic
+        assert _closed_under_all_pairs(set(ag.elements))
+
+
+def test_searches_leave_no_reference_cycles():
+    """A finished search frees its state by reference counting alone."""
+    loops = transversal_loops("dihedral:5", "x")[:6]
+    for loop in loops:
+        loop.columns  # cached on first use, outside the measured region
+    gc.collect()
+    gc.disable()
+    try:
+        for a, b in itertools.product(loops, repeat=2):
+            are_isotopic(a, b)
+            list(isomorphisms(a, b))
+        classify(loops, "isotopy")
+        classify(loops, "iso")
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_autotopy_cap():
