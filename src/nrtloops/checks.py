@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .burnside import dihedral_isotopy_count, subset_orbit_count
-from .flips import FlipSet, affine_families, affine_family, flip_loop
+from .flips import FlipSet, affine_families, affine_family, flip_loop, flip_sets
 from .groups import (
     build_named_group,
     core,
@@ -40,21 +40,15 @@ from .isotopy import (
 from .rightloops import left_nonsingular_elements, structure_flags
 from .transversals import enumerate_transversals, induced_right_loop
 
-CHECK_IDS = (
-    "facts",
-    "prop3.2",
-    "prop3.3",
-    "prop3.5",
-    "prop3.7",
-    "prop3.8",
-    "cor3.8",
-    "prop3.9",
-    "thm3.12",
-    "thm4.1",
-    "thm4.2",
-)
-
-_FACT_KEYS = ("normal", "isotopy_classes", "isomorphism_classes", "loop_transversals")
+# each fact key a catalog entry may declare, with how it is computed
+_FACTS = {
+    "normal": lambda data: is_normal(data.group, data.subgroup),
+    "isotopy_classes": lambda data: len(data.partition("isotopy").classes),
+    "isomorphism_classes": lambda data: len(data.partition("iso").classes),
+    "loop_transversals": lambda data: sum(
+        1 for loop in data.loops if structure_flags(loop).is_loop
+    ),
+}
 
 DEFAULT_PRIMES = (3, 5, 7)
 
@@ -78,7 +72,7 @@ class CatalogEntry:
         else:
             facts = tuple(sorted(tuple(facts)))
         for key, value in facts:
-            if key not in _FACT_KEYS:
+            if key not in _FACTS:
                 raise ValueError(f"unknown fact key {key!r}")
             # exact types, as bool is an int subclass and 0 == False
             wanted = bool if key == "normal" else int
@@ -325,19 +319,9 @@ def _is_squarefree(n: int) -> bool:
 
 def _check_facts(data: _EntryData) -> CheckReport:
     expected = data.entry.facts_dict()
-    computed = {}
-    if "normal" in expected:
-        computed["normal"] = is_normal(data.group, data.subgroup)
-    if "isotopy_classes" in expected:
-        computed["isotopy_classes"] = len(data.partition("isotopy").classes)
-    if "isomorphism_classes" in expected:
-        computed["isomorphism_classes"] = len(data.partition("iso").classes)
-    if "loop_transversals" in expected:
-        computed["loop_transversals"] = sum(
-            1 for loop in data.loops if structure_flags(loop).is_loop
-        )
     if not expected:
         return CheckReport("facts", data.entry.label, "vacuous", {"declared": 0})
+    computed = {key: fact(data) for key, fact in _FACTS.items() if key in expected}
     mismatches = {
         key: {"expected": expected[key], "computed": computed[key]}
         for key in computed
@@ -471,8 +455,7 @@ def _check_prop39() -> list[CheckReport]:
     exactly when the associated triple is an autotopy."""
     reports = []
     n = 5
-    for mask in range(1 << (n - 1)):
-        B = FlipSet.from_mask(n, mask << 1)
+    for B in flip_sets(n):
         loop = flip_loop(n, B)
         label = f"mod5 B={B.format()}"
         group = autotopy_group(loop)
@@ -592,7 +575,7 @@ def flip_classes(p: int) -> list[frozenset[FlipSet]] | None:
     of its flip sets, or None when p exceeds FLIP_CLASS_PRIME_CAP."""
     if p > FLIP_CLASS_PRIME_CAP:
         return None
-    subsets = [FlipSet.from_mask(p, mask << 1) for mask in range(1 << (p - 1))]
+    subsets = list(flip_sets(p))
     partition = classify((flip_loop(p, B) for B in subsets), "isotopy")
     return [frozenset(subsets[m] for m in members) for members in partition.classes]
 
@@ -679,6 +662,34 @@ def _check_thm42(p: int) -> CheckReport:
     return CheckReport("thm4.2", f"p={p}", "pass" if agree else "fail", details)
 
 
+def _per_entry(check):
+    """A runner of a check made once per catalog entry; a check that does
+    not apply to an entry returns None and gives no report."""
+    return lambda entries, ps: [r for r in map(check, entries) if r is not None]
+
+
+def _per_prime(check):
+    return lambda entries, ps: [check(p) for p in ps]
+
+
+# each check id, in report order, with its runner over (entries, primes)
+_CHECKS = {
+    "facts": _per_entry(_check_facts),
+    "prop3.2": _per_entry(_check_prop32),
+    "prop3.3": _per_entry(_check_prop33),
+    "prop3.5": _per_entry(_check_prop35),
+    "prop3.7": _per_entry(_check_prop37),
+    "prop3.8": _per_entry(_check_prop38),
+    "cor3.8": _per_entry(_check_cor38),
+    "prop3.9": lambda entries, ps: _check_prop39(),
+    "thm3.12": _per_entry(_check_thm312),
+    "thm4.1": _per_prime(_check_thm41),
+    "thm4.2": _per_prime(_check_thm42),
+}
+
+CHECK_IDS = tuple(_CHECKS)
+
+
 def run_suite(catalog=None, check_ids=None, ps=DEFAULT_PRIMES) -> list[CheckReport]:
     """Run the requested checks (all by default; an empty selection is a
     ValueError) over the catalog entries and the standalone
@@ -697,30 +708,7 @@ def run_suite(catalog=None, check_ids=None, ps=DEFAULT_PRIMES) -> list[CheckRepo
             raise ValueError(f"unknown check ids: {', '.join(unknown)}")
         requested = [c for c in CHECK_IDS if c in requested]
     data = [_EntryData(entry) for entry in catalog]
-    per_entry = {
-        "facts": _check_facts,
-        "prop3.2": _check_prop32,
-        "prop3.3": _check_prop33,
-        "prop3.5": _check_prop35,
-        "prop3.7": _check_prop37,
-        "prop3.8": _check_prop38,
-        "cor3.8": _check_cor38,
-        "thm3.12": _check_thm312,
-    }
-    reports = []
-    for check in requested:
-        if check in per_entry:
-            for d in data:
-                report = per_entry[check](d)
-                if report is not None:
-                    reports.append(report)
-        elif check == "prop3.9":
-            reports.extend(_check_prop39())
-        elif check == "thm4.1":
-            reports.extend(_check_thm41(p) for p in ps)
-        elif check == "thm4.2":
-            reports.extend(_check_thm42(p) for p in ps)
-    return reports
+    return [report for check in requested for report in _CHECKS[check](data, ps)]
 
 
 def suite_passed(reports) -> bool:

@@ -51,6 +51,16 @@ EXIT_BAD_ARGS = 2
 EXIT_CAP = 3
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nrtloops",
@@ -61,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, run):
+        p.set_defaults(run=run)
         p.add_argument(
             "--format",
             choices=("json", "csv", "table"),
@@ -74,16 +85,18 @@ def _build_parser() -> argparse.ArgumentParser:
     group_sub = group_cmd.add_subparsers(dest="group_command", required=True)
     show = group_sub.add_parser("show", help="print a group's multiplication table")
     show.add_argument("--group", required=True, help="group descriptor")
-    add_common(show)
+    add_common(show, cmd_group_show)
 
     nrt_cmd = sub.add_parser("nrt", help="work with normalized right transversals")
     nrt_sub = nrt_cmd.add_subparsers(dest="nrt_command", required=True)
     enum = nrt_sub.add_parser("enumerate", help="list all transversals of a subgroup")
     enum.add_argument("--group", required=True, help="group descriptor")
     enum.add_argument("--subgroup", required=True, help="subgroup generators")
-    enum.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    enum.add_argument("--limit", type=int, help="print at most this many rows")
-    add_common(enum)
+    enum.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ENUMERATION_CAP)
+    enum.add_argument(
+        "--limit", type=_non_negative_int, help="print at most this many rows"
+    )
+    add_common(enum, cmd_nrt_enumerate)
 
     cls = sub.add_parser("classify", help="classify transversal loops")
     cls.add_argument("--group", required=True, help="group descriptor")
@@ -92,8 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cls.add_argument(
         "--jobs", type=int, default=1, help="has no effect; classification is serial"
     )
-    cls.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    add_common(cls)
+    cls.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ENUMERATION_CAP)
+    add_common(cls, cmd_classify)
 
     dih = sub.add_parser("dihedral", help="flip-loop counts over a dihedral group")
     dih.add_argument("mode", choices=("count", "families", "census"))
@@ -104,12 +117,12 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="subset",
         help="restrict families mode to the family of this subset, e.g. 1,3",
     )
-    dih.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    add_common(dih)
+    dih.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ENUMERATION_CAP)
+    add_common(dih, cmd_dihedral)
 
     cyc = sub.add_parser("cycle-index", help="cycle index of the affine maps mod p")
     cyc.add_argument("--p", type=int, required=True, help="odd prime")
-    add_common(cyc)
+    add_common(cyc, cmd_cycle_index)
 
     ver = sub.add_parser("verify", help="run the built-in theorem checks")
     pick = ver.add_mutually_exclusive_group()
@@ -125,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="'default' or a path to a JSON catalog file",
     )
     ver.add_argument("--p", type=int, help="restrict prime-parameterized checks")
-    add_common(ver)
+    add_common(ver, cmd_verify)
 
     return parser
 
@@ -388,23 +401,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if suite_passed(reports) else EXIT_CHECK_FAILED
 
 
-_DISPATCH = {
-    "classify": cmd_classify,
-    "dihedral": cmd_dihedral,
-    "cycle-index": cmd_cycle_index,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "group":
-            return cmd_group_show(args)
-        if args.command == "nrt":
-            return cmd_nrt_enumerate(args)
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -81,6 +81,17 @@ class FlipSet:
         return "{" + ",".join(map(str, self.members)) + "}"
 
 
+def flip_sets(n: int, cap: int = DEFAULT_ENUMERATION_CAP):
+    """The 2^(n-1) subsets of the nonzero residues mod n in mask order: the
+    flip sets of the transversals of a reflection in the dihedral group of
+    order 2n. Raises CapExceededError, before yielding any, when they
+    exceed cap."""
+    total = 1 << (n - 1)
+    if total > cap:
+        raise CapExceededError(f"{total} transversals exceed the cap of {cap}")
+    return (FlipSet.from_mask(n, mask << 1) for mask in range(total))
+
+
 def _as_flip_set(n: int, B) -> FlipSet:
     if isinstance(B, FlipSet):
         if B.n != n:
@@ -159,12 +170,8 @@ def loop_transversal_census(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Censu
     flip loop is a loop (every row bijective)."""
     if n < 2:
         raise ValueError("census needs n >= 2")
-    total = 1 << (n - 1)
-    if total > cap:
-        raise CapExceededError(f"{total} transversals exceed the cap of {cap}")
     witnesses = []
-    for mask in range(total):
-        B = FlipSet.from_mask(n, mask << 1)
+    for B in flip_sets(n, cap):
         if len(predicted_left_nonsingular(n, B)) == n:
             if not structure_flags(flip_loop(n, B)).is_loop:
                 raise AssertionError(
@@ -202,20 +209,16 @@ def affine_families(
     families, ordered by least member mask; families are sorted by mask.
     Raises CapExceededError when the 2^(p-1) subsets exceed cap."""
     _require_odd_prime(p)
-    total = 1 << (p - 1)
-    if total > cap:
-        raise CapExceededError(f"{total} transversals exceed the cap of {cap}")
     assigned: dict[int, int] = {}
     families = []
-    for mask in range(total):
-        if mask in assigned:
+    for B in flip_sets(p, cap):
+        if B.mask in assigned:
             continue
-        B = FlipSet.from_mask(p, mask << 1)
         family = sorted(affine_family(p, B), key=lambda s: s.mask)
         for member in family:
-            if member.mask >> 1 in assigned:
+            if member.mask in assigned:
                 raise AssertionError("families are not disjoint")
-            assigned[member.mask >> 1] = len(families)
+            assigned[member.mask] = len(families)
         families.append(tuple(family))
     return tuple(families)
 

@@ -526,7 +526,7 @@ def dumps_cayley(G: FiniteGroup) -> str:
 # ---------------------------------------------------------------------------
 # element and subgroup descriptors (used by the CLI and the check catalog)
 
-_DIHEDRAL_TOKEN = re.compile(r"^(x?)(?:y\^?(\d*))?$")
+_DIHEDRAL_TOKEN = re.compile(r"^(x?)(y(?:\^?(\d+))?)?$")
 
 
 def element_index(G: FiniteGroup, token: str) -> int:
@@ -549,15 +549,14 @@ def element_index(G: FiniteGroup, token: str) -> int:
     if G.kind == "dihedral":
         n = G.order // 2
         m = _DIHEDRAL_TOKEN.match(tok)
-        if m and (m.group(1) or m.group(2) is not None or tok == "y"):
+        if m and (m.group(1) or m.group(2)):
             a = 1 if m.group(1) else 0
-            exp = m.group(2)
-            if exp is None:
+            if m.group(2) is None:
                 i = 0
-            elif exp == "":
+            elif m.group(3) is None:
                 i = 1
             else:
-                i = int(exp) % n
+                i = int(m.group(3)) % n
             return a * n + i
         raise GroupError(f"bad dihedral element descriptor {tok!r}")
     if G.kind == "cyclic":

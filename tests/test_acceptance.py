@@ -28,6 +28,7 @@ from nrtloops.flips import (
     FlipSet,
     affine_families,
     flip_loop,
+    flip_sets,
     loop_transversal_census,
     predicted_left_nonsingular,
 )
@@ -118,10 +119,7 @@ def test_criterion_02_double_swap_stabilizer_classification():
 def test_criterion_03_dihedral_triple_agreement():
     start = time.monotonic()
     for p, expected in ((3, 2), (5, 3), (7, 5)):
-        loops = [
-            flip_loop(p, FlipSet.from_mask(p, mask << 1))
-            for mask in range(1 << (p - 1))
-        ]
+        loops = [flip_loop(p, B) for B in flip_sets(p)]
         direct = len(classify(loops, "isotopy").classes)
         families = len(affine_families(p))
         formula = dihedral_isotopy_count(p)
@@ -188,8 +186,7 @@ def test_criterion_07_criterion_soundness():
     start = time.monotonic()
     checked = 0
     for n in range(2, 13):
-        for mask in range(1 << (n - 1)):
-            B = FlipSet.from_mask(n, mask << 1)
+        for B in flip_sets(n):
             predicted = predicted_left_nonsingular(n, B)
             scanned = left_nonsingular_elements(flip_loop(n, B))
             assert predicted == scanned

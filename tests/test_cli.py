@@ -1,8 +1,12 @@
-"""End-to-end tests that drive the command line, as a subprocess unless a
-test patches the package."""
+"""End-to-end tests that drive the command line through ``cli.main`` in
+this process, with stdout and stderr captured and argparse's exits caught.
+One test runs ``python -m nrtloops`` as a subprocess, so that the module
+entry point is covered too."""
 
+import contextlib
 import csv
 import gc
+import hashlib
 import io
 import json
 import subprocess
@@ -15,15 +19,21 @@ from nrtloops.transversals import Transversal
 
 
 def run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "nrtloops", *argv],
-        capture_output=True,
-        text=True,
-    )
+    """Run the command line in-process; the result has the returncode,
+    stdout and stderr that ``python -m nrtloops`` would give."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(argv, code, stdout.getvalue(), stderr.getvalue())
 
 
 def test_help_lists_subcommands():
-    result = run_cli("--help")
+    result = subprocess.run(
+        [sys.executable, "-m", "nrtloops", "--help"], capture_output=True, text=True
+    )
     assert result.returncode == 0
     assert "usage: nrtloops" in result.stdout
     for name in ("group", "nrt", "classify", "dihedral", "cycle-index", "verify"):
@@ -140,6 +150,63 @@ def test_enumerate_cap_exits_three():
     )
     assert result.returncode == 3
     assert result.stderr == "error: 32 transversals exceed the cap of 10\n"
+
+
+def test_enumerate_negative_limit_exits_two():
+    result = run_cli(
+        "nrt", "enumerate",
+        "--group", "sym:3",
+        "--subgroup", "(2,3)",
+        "--limit", "-1",
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "argument --limit: invalid non-negative int value: '-1'" in result.stderr
+
+
+def test_negative_cap_exits_two():
+    for argv in (
+        ("nrt", "enumerate", "--group", "sym:3", "--subgroup", "(2,3)"),
+        ("classify", "--group", "sym:3", "--subgroup", "(2,3)"),
+        ("dihedral", "census", "--n", "4"),
+    ):
+        result = run_cli(*argv, "--cap", "-5")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "argument --cap: invalid non-negative int value: '-5'" in result.stderr
+    # a cap of zero is allowed, and every enumeration exceeds it
+    zero = run_cli("classify", "--group", "sym:3", "--subgroup", "(2,3)", "--cap", "0")
+    assert zero.returncode == 3
+    assert zero.stderr == "error: 4 transversals exceed the cap of 0\n"
+
+
+def test_classify_rejects_a_caret_without_an_exponent():
+    for subgroup in ("y^", "xy^"):
+        result = run_cli("classify", "--group", "dihedral:3", "--subgroup", subgroup)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: bad dihedral element descriptor {subgroup!r}\n"
+        )
+
+
+def test_output_bytes_are_pinned():
+    """The exact stdout of two commands, pinned by digest: a change that
+    alters any byte of the reports or the classes fails here."""
+    for argv, digest in (
+        (
+            ("verify", "--all", "--format", "json"),
+            "8bf756ed3aa673cf135c8ae5a05fc7ab48d4a057054a4173f33296763351df5a",
+        ),
+        (
+            ("classify", "--group", "dihedral:11", "--subgroup", "x",
+             "--format", "json"),
+            "d870dc8c5bd459ffbf31b9157d0125ac7498600317137ddc66431b0dd93f63a9",
+        ),
+    ):
+        result = run_cli(*argv)
+        assert result.returncode == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, argv
 
 
 def test_classify_text():
@@ -329,7 +396,7 @@ def test_closure_cap_exits_three(monkeypatch, capsys):
             "the permutation group on 9 points has more than 5 elements"
         )
 
-    monkeypatch.setitem(cli._DISPATCH, "verify", too_large)
+    monkeypatch.setattr(cli, "cmd_verify", too_large)
     assert cli.main(["verify", "--all"]) == 3
     assert capsys.readouterr().err == (
         "error: the permutation group on 9 points has more than 5 elements\n"

@@ -10,6 +10,7 @@ from nrtloops.flips import (
     dihedral_transversal,
     families_json_obj,
     flip_loop,
+    flip_sets,
     loop_transversal_census,
     predicted_left_nonsingular,
 )
@@ -85,16 +86,14 @@ def test_flip_loops_are_the_induced_dihedral_loops():
     """Entrywise identification between the arithmetic table and the loop
     induced on the matching transversal of a reflection subgroup."""
     for n in range(2, 9):
-        for mask in range(1 << (n - 1)):
-            B = FlipSet.from_mask(n, mask << 1)
+        for B in flip_sets(n):
             induced = induced_right_loop(dihedral_transversal(n, B))
             assert induced.table == flip_loop(n, B).table
 
 
 def test_predicted_left_nonsingular_matches_the_table():
     for n in range(2, 10):
-        for mask in range(1 << (n - 1)):
-            B = FlipSet.from_mask(n, mask << 1)
+        for B in flip_sets(n):
             predicted = predicted_left_nonsingular(n, B)
             scanned = left_nonsingular_elements(flip_loop(n, B))
             assert predicted == scanned, (n, B.members)
@@ -112,6 +111,17 @@ def test_all_odd_flips_give_a_loop_isomorphic_to_the_dihedral_group():
     assert structure_flags(loop).is_loop
     target = validate_right_loop(dihedral_group(3).table)
     assert are_isomorphic(loop, target) is not None
+
+
+def test_flip_sets():
+    assert [B.members for B in flip_sets(3)] == [(), (1,), (2,), (1, 2)]
+    for n in range(1, 8):
+        masks = [B.mask for B in flip_sets(n)]
+        assert masks == [m << 1 for m in range(1 << (n - 1))]
+    assert len(list(flip_sets(7, cap=64))) == 64
+    # the cap is checked when the call is made, before any set is built
+    with pytest.raises(CapExceededError, match="^64 transversals exceed the cap of 63"):
+        flip_sets(7, cap=63)
 
 
 def test_loop_transversal_census():
@@ -150,8 +160,7 @@ def test_affine_family_mod_three():
 
 def test_affine_family_membership_is_symmetric():
     for p in (3, 5):
-        for mask in range(1 << (p - 1)):
-            B = FlipSet.from_mask(p, mask << 1)
+        for B in flip_sets(p):
             fam = affine_family(p, B)
             assert B in fam
             for member in fam:
@@ -195,7 +204,7 @@ def test_affine_families_agree_with_loop_isotopy():
     """Mod five: two flip loops are isotopic exactly when their flip sets
     lie in the same affine family."""
     p = 5
-    subsets = [FlipSet.from_mask(p, m << 1) for m in range(1 << (p - 1))]
+    subsets = list(flip_sets(p))
     loops = [flip_loop(p, B) for B in subsets]
     families = affine_families(p)
     family_of = {

@@ -346,6 +346,16 @@ def test_element_index():
         element_index(T, "q")
 
 
+def test_element_index_rejects_a_caret_without_an_exponent():
+    D = dihedral_group(6)
+    for token in ("y^", "xy^", "^", "x^"):
+        with pytest.raises(GroupError, match="bad dihedral element descriptor"):
+            element_index(D, token)
+    # the other spellings of a power still read as before
+    assert element_index(D, "y3") == 3
+    assert element_index(D, "xy^8") == 8
+
+
 def test_parse_subgroup():
     S = symmetric_group(3)
     assert parse_subgroup(S, "(2,3)").members == (0, 1)

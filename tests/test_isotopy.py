@@ -10,7 +10,7 @@ import pytest
 from nrtloops import isotopy
 from nrtloops.burnside import dihedral_isotopy_count
 from nrtloops.checks import default_catalog
-from nrtloops.flips import FlipSet, affine_families, dihedral_transversal, flip_loop
+from nrtloops.flips import affine_families, dihedral_transversal, flip_loop, flip_sets
 from nrtloops.groups import build_named_group, cyclic_group, parse_subgroup
 from nrtloops.isotopy import (
     AUTOTOPY_ORDER_CAP,
@@ -448,9 +448,7 @@ def test_isotopies_match_the_old_construction():
         return None
 
     rng = random.Random(13)
-    loops = [
-        flip_loop(5, FlipSet.from_mask(5, mask << 1)) for mask in range(1 << 4)
-    ]
+    loops = [flip_loop(5, B) for B in flip_sets(5)]
     for entry in default_catalog():
         pool = transversal_loops(entry.group, entry.subgroup)
         if pool[0].order <= 8:
