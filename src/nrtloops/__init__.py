@@ -11,7 +11,6 @@ and counted exactly by a cycle-index formula.
 """
 
 from .burnside import (
-    AffineMap,
     CycleIndex,
     affine_cycle_index,
     affine_maps,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .perms import CapExceededError, cycle_count, cycle_type
 
@@ -56,42 +56,21 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"expected an odd prime, got {p}")
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """The map x -> mu*x + t on residues mod p, mu nonzero."""
-
-    p: int
-    mu: int
-    t: int
-
-    def __post_init__(self):
-        _require_odd_prime(self.p)
-        if not 0 < self.mu < self.p:
-            raise ValueError(f"mu must be a nonzero residue mod {self.p}")
-        if not 0 <= self.t < self.p:
-            raise ValueError(f"t must be a residue mod {self.p}")
-
-    def apply(self, x: int) -> int:
-        return (self.mu * x + self.t) % self.p
-
-    @cached_property
-    def permutation(self) -> tuple[int, ...]:
-        return tuple(self.apply(x) for x in range(self.p))
-
-
 @lru_cache(maxsize=None)
-def affine_maps(p: int) -> tuple[AffineMap, ...]:
-    """All p(p-1) affine maps mod p, verified closed under composition."""
+def affine_maps(p: int) -> tuple[tuple[int, ...], ...]:
+    """All p(p-1) affine maps x -> mu*x + t mod p, mu nonzero, as
+    permutations of the residues in (mu, t) order, verified closed under
+    composition."""
     _require_odd_prime(p)
     if p > AFFINE_PRIME_CAP:
         raise CapExceededError(f"affine_maps is capped at p = {AFFINE_PRIME_CAP}")
-    maps = tuple(AffineMap(p, mu, t) for mu in range(1, p) for t in range(p))
-    params = {(m.mu, m.t) for m in maps}
+    params = [(mu, t) for mu in range(1, p) for t in range(p)]
+    param_set = set(params)
     for m1, t1 in params:
         for m2, t2 in params:
-            if (m1 * m2 % p, (m1 * t2 + t1) % p) not in params:
+            if (m1 * m2 % p, (m1 * t2 + t1) % p) not in param_set:
                 raise AssertionError("affine maps are not closed under composition")
-    return maps
+    return tuple(tuple((mu * x + t) % p for x in range(p)) for mu, t in params)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +218,7 @@ def subset_orbit_count(p: int) -> int:
     subsets, since a fixed subset is a union of cycles."""
     _require_odd_prime(p)
     maps = affine_maps(p)
-    total = sum(2 ** cycle_count(m.permutation) for m in maps)
+    total = sum(2 ** cycle_count(m) for m in maps)
     if total % len(maps) != 0:
         raise ArithmeticError("orbit average is not an integer")
     return total // len(maps)
@@ -254,8 +233,7 @@ def subset_orbit_count_naive(p: int) -> int:
         )
     maps = affine_maps(p)
     total = 0
-    for m in maps:
-        perm = m.permutation
+    for perm in maps:
         for mask in range(1 << p):
             image = 0
             rest = mask

@@ -1,11 +1,13 @@
 """Executable checks of structural facts about transversal loops, run over
 a built-in catalog of (group, subgroup) pairs.
 
-Each check id names one verifiable statement. Implication-shaped statements
-are checked as implications: when the hypothesis fails on an entry the
-report says "vacuous" rather than silently passing, except where a
-contrapositive reading still gives the entry real content (see check
-"prop3.7"). Failing reports always carry a concrete counterexample.
+Each check id names one verifiable statement. A check returns its verdict
+with details, and run_suite labels each result with its catalog entry or
+prime and builds the report. Implication-shaped statements are checked as
+implications: when the hypothesis fails on an entry the report says
+"vacuous" rather than silently passing, except where a contrapositive
+reading still gives the entry real content (see check "prop3.7"). Failing
+reports always carry a concrete counterexample.
 """
 
 from __future__ import annotations
@@ -317,10 +319,10 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-def _check_facts(data: _EntryData) -> CheckReport:
+def _check_facts(data: _EntryData):
     expected = data.entry.facts_dict()
     if not expected:
-        return CheckReport("facts", data.entry.label, "vacuous", {"declared": 0})
+        return "vacuous", {"declared": 0}
     computed = {key: fact(data) for key, fact in _FACTS.items() if key in expected}
     mismatches = {
         key: {"expected": expected[key], "computed": computed[key]}
@@ -328,11 +330,11 @@ def _check_facts(data: _EntryData) -> CheckReport:
         if computed[key] != expected[key]
     }
     if mismatches:
-        return CheckReport("facts", data.entry.label, "fail", mismatches)
-    return CheckReport("facts", data.entry.label, "pass", computed)
+        return "fail", mismatches
+    return "pass", computed
 
 
-def _check_prop32(data: _EntryData) -> CheckReport:
+def _check_prop32(data: _EntryData):
     """Isotopic right loops have equally many left non-singular elements:
     the first members of isotopy classes with different counts are not
     isotopic."""
@@ -343,25 +345,18 @@ def _check_prop32(data: _EntryData) -> CheckReport:
         if counts[i] == counts[j]:
             continue
         if are_isotopic(firsts[i], firsts[j]) is not None:
-            return CheckReport(
-                "prop3.2",
-                data.entry.label,
-                "fail",
-                {
-                    "first": data.transversals[partition.classes[i][0]].label(),
-                    "second": data.transversals[partition.classes[j][0]].label(),
-                },
-            )
+            return "fail", {
+                "first": data.transversals[partition.classes[i][0]].label(),
+                "second": data.transversals[partition.classes[j][0]].label(),
+            }
     profiles = [
         {"size": len(members), "lns": count, "loop": count == loop.order}
         for members, count, loop in zip(partition.classes, counts, firsts)
     ]
-    return CheckReport(
-        "prop3.2", data.entry.label, "pass", {"classes": profiles}
-    )
+    return "pass", {"classes": profiles}
 
 
-def _check_prop33(data: _EntryData) -> CheckReport:
+def _check_prop33(data: _EntryData):
     """The isotopy class count is unchanged by factoring out the core."""
     N, Q, HQ = _quotient_pair_data(data)
     upstairs = len(data.partition("isotopy").classes)
@@ -374,37 +369,25 @@ def _check_prop33(data: _EntryData) -> CheckReport:
         "itp": upstairs,
         "itp_quotient": downstairs,
     }
-    verdict = "pass" if upstairs == downstairs else "fail"
-    return CheckReport("prop3.3", data.entry.label, verdict, details)
+    return ("pass" if upstairs == downstairs else "fail"), details
 
 
-def _check_prop35(data: _EntryData) -> CheckReport:
+def _check_prop35(data: _EntryData):
     """With a corefree subgroup and a single isotopy class, no transversal
     is a loop transversal and every transversal generates the group."""
     N = core(data.group, data.subgroup)
     itp = len(data.partition("isotopy").classes)
     if N.order != 1 or itp != 1:
-        return CheckReport(
-            "prop3.5",
-            data.entry.label,
-            "vacuous",
-            {"core_order": N.order, "itp": itp},
-        )
+        return "vacuous", {"core_order": N.order, "itp": itp}
     for t, loop in zip(data.transversals, data.loops):
         if structure_flags(loop).is_loop:
-            return CheckReport(
-                "prop3.5", data.entry.label, "fail", {"loop_transversal": t.label()}
-            )
+            return "fail", {"loop_transversal": t.label()}
         if generated_subgroup(data.group, t.reps).order != data.group.order:
-            return CheckReport(
-                "prop3.5", data.entry.label, "fail", {"proper_span": t.label()}
-            )
-    return CheckReport(
-        "prop3.5", data.entry.label, "pass", {"transversals": len(data.loops)}
-    )
+            return "fail", {"proper_span": t.label()}
+    return "pass", {"transversals": len(data.loops)}
 
 
-def _check_prop37(data: _EntryData) -> CheckReport | None:
+def _check_prop37(data: _EntryData):
     """For a nilpotent group, a single isotopy class forces normality;
     checked through the contrapositive on non-normal entries."""
     if not is_nilpotent(data.group):
@@ -413,101 +396,86 @@ def _check_prop37(data: _EntryData) -> CheckReport | None:
     itp = len(data.partition("isotopy").classes)
     details = {"normal": normal, "itp": itp}
     if itp == 1 and not normal:
-        return CheckReport("prop3.7", data.entry.label, "fail", details)
+        return "fail", details
     details["reading"] = "direct" if itp == 1 else "contrapositive"
-    return CheckReport("prop3.7", data.entry.label, "pass", details)
+    return "pass", details
 
 
-def _one_class_forces_normality(check_id: str, data: _EntryData) -> CheckReport:
+def _one_class_forces_normality(data: _EntryData):
     itp = len(data.partition("isotopy").classes)
     if itp != 1:
-        return CheckReport(check_id, data.entry.label, "vacuous", {"itp": itp})
+        return "vacuous", {"itp": itp}
     normal = is_normal(data.group, data.subgroup)
-    verdict = "pass" if normal else "fail"
-    return CheckReport(
-        check_id, data.entry.label, verdict, {"itp": itp, "normal": normal}
-    )
+    return ("pass" if normal else "fail"), {"itp": itp, "normal": normal}
 
 
-def _check_prop38(data: _EntryData) -> CheckReport | None:
+def _check_prop38(data: _EntryData):
     """For a solvable group with |H| coprime to the index, a single isotopy
     class forces normality."""
     index = data.group.order // data.subgroup.order
     if not (is_solvable(data.group) and math.gcd(data.subgroup.order, index) == 1):
         return None
-    return _one_class_forces_normality("prop3.8", data)
+    return _one_class_forces_normality(data)
 
 
-def _check_cor38(data: _EntryData) -> CheckReport | None:
+def _check_cor38(data: _EntryData):
     """For a group of squarefree order, a single isotopy class forces
     normality."""
     if not _is_squarefree(data.group.order):
         return None
-    return _one_class_forces_normality("cor3.8", data)
+    return _one_class_forces_normality(data)
 
 
-def _check_prop39() -> list[CheckReport]:
+def _prop39_failure(loop, group) -> dict | None:
+    """The first counterexample to prop3.9 on one loop: an autotopy whose
+    three right (or left) conditions disagree, else a bijection eta and
+    companion c, right before left, whose pseudo-automorphism identity
+    disagrees with the associated triple being an autotopy."""
+    for w in group.elements:
+        right = (
+            w.alpha[0] == 0,
+            w.beta == w.gamma,
+            pseudo_automorphism_check(loop, w.alpha, w.beta[0], "right"),
+        )
+        left = (
+            w.beta[0] == 0,
+            w.alpha == w.gamma,
+            pseudo_automorphism_check(loop, w.beta, w.alpha[0], "left"),
+        )
+        if len(set(right)) != 1 or len(set(left)) != 1:
+            return {"autotopy": repr(w), "right": right, "left": left}
+    lns = left_nonsingular_elements(loop)
+    for eta in itertools.permutations(range(loop.order)):
+        for c in range(loop.order):
+            for side in ("right", "left") if c in lns else ("right",):
+                holds = pseudo_automorphism_check(loop, eta, c, side)
+                triple = pseudo_autotopy_triple(loop, eta, c, side)
+                if holds != triple.verify(loop, loop):
+                    return {"eta": eta, "companion": c, "side": side}
+    return None
+
+
+def _check_prop39():
     """Autotopy / pseudo-automorphism correspondence on the mod-5 flip
     loops: for every autotopy (alpha, beta, gamma), alpha fixing 0, beta
     equalling gamma, and alpha being a right pseudo-automorphism with
     companion beta(0) are equivalent (dually on the left); and for every
     bijection eta and companion c, the pseudo-automorphism identity holds
     exactly when the associated triple is an autotopy."""
-    reports = []
-    n = 5
-    for B in flip_sets(n):
-        loop = flip_loop(n, B)
+    for B in flip_sets(5):
         label = f"mod5 B={B.format()}"
+        loop = flip_loop(5, B)
         group = autotopy_group(loop)
-        failure = None
-        for w in group.elements:
-            right = (
-                w.alpha[0] == 0,
-                w.beta == w.gamma,
-                pseudo_automorphism_check(loop, w.alpha, w.beta[0], "right"),
-            )
-            left = (
-                w.beta[0] == 0,
-                w.alpha == w.gamma,
-                pseudo_automorphism_check(loop, w.beta, w.alpha[0], "left"),
-            )
-            if len(set(right)) != 1 or len(set(left)) != 1:
-                failure = {"autotopy": repr(w), "right": right, "left": left}
-                break
-        if failure is None:
-            lns = left_nonsingular_elements(loop)
-            for eta in itertools.permutations(range(n)):
-                for c in range(n):
-                    holds = pseudo_automorphism_check(loop, eta, c, "right")
-                    triple = pseudo_autotopy_triple(loop, eta, c, "right")
-                    if holds != triple.verify(loop, loop):
-                        failure = {"eta": eta, "companion": c, "side": "right"}
-                        break
-                    if c in lns:
-                        holds = pseudo_automorphism_check(loop, eta, c, "left")
-                        triple = pseudo_autotopy_triple(loop, eta, c, "left")
-                        if holds != triple.verify(loop, loop):
-                            failure = {"eta": eta, "companion": c, "side": "left"}
-                            break
-                if failure:
-                    break
-        if failure:
-            reports.append(CheckReport("prop3.9", label, "fail", failure))
+        failure = _prop39_failure(loop, group)
+        if failure is not None:
+            yield label, "fail", failure
         else:
-            reports.append(
-                CheckReport(
-                    "prop3.9",
-                    label,
-                    "pass",
-                    {
-                        "autotopies": group.u_size,
-                        "a1": group.a1_size,
-                        "a2": group.a2_size,
-                        "aut": group.aut_size,
-                    },
-                )
-            )
-    return reports
+            yield label, "pass", {
+                "autotopies": group.u_size,
+                "a1": group.a1_size,
+                "a2": group.a2_size,
+                "aut": group.aut_size,
+            }
 
 
 def _aut_transitive(loop) -> bool:
@@ -529,7 +497,7 @@ def _aut_transitive(loop) -> bool:
     return len(reached) == n - 1
 
 
-def _check_thm312(data: _EntryData) -> CheckReport:
+def _check_thm312(data: _EntryData):
     """Isotopic right loops whose automorphism groups act transitively on
     non-identity elements must be isomorphic. Isomorphism is transitive, so
     each transitive member is compared with its class's first one."""
@@ -546,28 +514,13 @@ def _check_thm312(data: _EntryData) -> CheckReport:
         iso = data.partition("iso")
         for b in transitive[1:]:
             if iso.class_of(b) != iso.class_of(transitive[0]):
-                return CheckReport(
-                    "thm3.12",
-                    data.entry.label,
-                    "fail",
-                    {
-                        "first": data.transversals[transitive[0]].label(),
-                        "second": data.transversals[b].label(),
-                    },
-                )
+                return "fail", {
+                    "first": data.transversals[transitive[0]].label(),
+                    "second": data.transversals[b].label(),
+                }
     if pairs == 0:
-        return CheckReport(
-            "thm3.12",
-            data.entry.label,
-            "vacuous",
-            {"transitive_members": transitive_total},
-        )
-    return CheckReport(
-        "thm3.12",
-        data.entry.label,
-        "pass",
-        {"pairs": pairs, "transitive_members": transitive_total},
-    )
+        return "vacuous", {"transitive_members": transitive_total}
+    return "pass", {"pairs": pairs, "transitive_members": transitive_total}
 
 
 def flip_classes(p: int) -> list[frozenset[FlipSet]] | None:
@@ -580,45 +533,32 @@ def flip_classes(p: int) -> list[frozenset[FlipSet]] | None:
     return [frozenset(subsets[m] for m in members) for members in partition.classes]
 
 
-def _check_thm41(p: int) -> CheckReport:
+def _check_thm41(p: int):
     """For an odd prime modulus, two flip loops are isotopic exactly when
     each flip set lies in the other's affine family: the families are
     symmetric and equal the isotopy classes."""
     classes = flip_classes(p)
     if classes is None:
-        return CheckReport(
-            "thm4.1",
-            f"p={p}",
-            "vacuous",
-            {"note": f"direct classification capped at p={FLIP_CLASS_PRIME_CAP}"},
-        )
+        return "vacuous", {
+            "note": f"direct classification capped at p={FLIP_CLASS_PRIME_CAP}"
+        }
     class_of = {B: members for members in classes for B in members}
     subsets = sorted(class_of, key=lambda B: B.mask)
     families = {B: affine_family(p, B) for B in subsets}
     for B in subsets:
         for C in sorted(families[B], key=lambda C: C.mask):
             if B not in families[C]:
-                return CheckReport(
-                    "thm4.1",
-                    f"p={p}",
-                    "fail",
-                    {"asymmetric": [B.format(), C.format()]},
-                )
+                return "fail", {"asymmetric": [B.format(), C.format()]}
     for B in subsets:
         if class_of[B] != families[B]:
             C = min(class_of[B] ^ families[B], key=lambda C: C.mask)
-            return CheckReport(
-                "thm4.1",
-                f"p={p}",
-                "fail",
-                {
-                    "B": B.format(),
-                    "C": C.format(),
-                    "family_predicts": C in families[B],
-                    "isotopic": C in class_of[B],
-                },
-            )
-    return CheckReport("thm4.1", f"p={p}", "pass", {"subsets": len(subsets)})
+            return "fail", {
+                "B": B.format(),
+                "C": C.format(),
+                "family_predicts": C in families[B],
+                "isotopic": C in class_of[B],
+            }
+    return "pass", {"subsets": len(subsets)}
 
 
 @dataclass(frozen=True)
@@ -640,12 +580,14 @@ class FlipClassCounts:
 
 
 def flip_class_counts(p: int) -> FlipClassCounts:
+    # the orbit count hits the affine-map cap before the formula builds 2^p
+    orbit_count = subset_orbit_count(p)
     classes = flip_classes(p)
     direct = None if classes is None else len(classes)
-    return FlipClassCounts(p, dihedral_isotopy_count(p), subset_orbit_count(p), direct)
+    return FlipClassCounts(p, dihedral_isotopy_count(p), orbit_count, direct)
 
 
-def _check_thm42(p: int) -> CheckReport:
+def _check_thm42(p: int):
     """The isotopy class count of mod-p flip loops from the cycle-index
     formula agrees with the Burnside orbit count, the family census, and
     (for p up to FLIP_CLASS_PRIME_CAP) direct classification."""
@@ -659,20 +601,29 @@ def _check_thm42(p: int) -> CheckReport:
     if counts.direct is not None:
         details["direct"] = counts.direct
     agree = counts.agree and families == counts.formula
-    return CheckReport("thm4.2", f"p={p}", "pass" if agree else "fail", details)
+    return ("pass" if agree else "fail"), details
 
 
 def _per_entry(check):
-    """A runner of a check made once per catalog entry; a check that does
-    not apply to an entry returns None and gives no report."""
-    return lambda entries, ps: [r for r in map(check, entries) if r is not None]
+    """A runner of a check made once per catalog entry, labelled with the
+    entry; a check that does not apply to an entry returns None and gives
+    no report."""
+
+    def run(entries, ps):
+        for data in entries:
+            result = check(data)
+            if result is not None:
+                yield (data.entry.label, *result)
+
+    return run
 
 
 def _per_prime(check):
-    return lambda entries, ps: [check(p) for p in ps]
+    return lambda entries, ps: ((f"p={p}", *check(p)) for p in ps)
 
 
-# each check id, in report order, with its runner over (entries, primes)
+# each check id, in report order, with its runner over (entries, primes),
+# which yields (label, verdict, details) for each report
 _CHECKS = {
     "facts": _per_entry(_check_facts),
     "prop3.2": _per_entry(_check_prop32),
@@ -708,7 +659,11 @@ def run_suite(catalog=None, check_ids=None, ps=DEFAULT_PRIMES) -> list[CheckRepo
             raise ValueError(f"unknown check ids: {', '.join(unknown)}")
         requested = [c for c in CHECK_IDS if c in requested]
     data = [_EntryData(entry) for entry in catalog]
-    return [report for check in requested for report in _CHECKS[check](data, ps)]
+    return [
+        CheckReport(check_id, label, verdict, details)
+        for check_id in requested
+        for label, verdict, details in _CHECKS[check_id](data, ps)
+    ]
 
 
 def suite_passed(reports) -> bool:

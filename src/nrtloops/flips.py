@@ -195,7 +195,7 @@ def affine_family(p: int, B) -> frozenset[FlipSet]:
     members = _as_flip_set(p, B).members
     family = set()
     for f in maps:
-        image = {f.permutation[b] for b in members}
+        image = {f[b] for b in members}
         if 0 in image:
             image = set(range(p)) - image
         family.add(FlipSet(p, tuple(image)))

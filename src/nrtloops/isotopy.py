@@ -462,6 +462,8 @@ def pseudo_automorphism_check(
     t = loop.table
     c = companion
     if side == "right":
+        if not 0 <= c < n:
+            raise ValueError(f"companion {c} is out of range 0..{n - 1}")
         return all(
             t[eta[t[x][y]]][c] == t[eta[x]][t[eta[y]][c]]
             for x in range(n)
@@ -487,6 +489,8 @@ def pseudo_autotopy_triple(
     eta = tuple(eta)
     t = loop.table
     if side == "right":
+        if not 0 <= companion < n:
+            raise ValueError(f"companion {companion} is out of range 0..{n - 1}")
         shifted = tuple(t[eta[x]][companion] for x in range(n))
         return IsotopyWitness(eta, shifted, shifted)
     if side == "left":

@@ -72,6 +72,8 @@ def transversal_from_elements(G: FiniteGroup, H: Subgroup, elements) -> Transver
     reps = [-1] * len(dec.cosets)
     for e in elements:
         e = int(e)
+        if not 0 <= e < G.order:
+            raise GroupError(f"element index {e} out of range for order {G.order}")
         i = dec.coset_of[e]
         if reps[i] >= 0:
             raise GroupError(f"coset {i} is represented twice")

@@ -8,7 +8,6 @@ import pytest
 from nrtloops.burnside import (
     AFFINE_PRIME_CAP,
     NAIVE_SCAN_CAP,
-    AffineMap,
     CycleIndex,
     affine_cycle_index,
     affine_maps,
@@ -42,35 +41,28 @@ def test_euler_phi():
         euler_phi(0)
 
 
-def test_affine_map_basics():
-    f = AffineMap(5, 2, 1)
-    assert f.apply(0) == 1
-    assert f.permutation == (1, 3, 0, 2, 4)
-
-
-def test_affine_map_validation():
-    with pytest.raises(ValueError, match="odd prime"):
-        AffineMap(4, 1, 0)
-    with pytest.raises(ValueError, match="odd prime"):
-        AffineMap(2, 1, 0)
-    with pytest.raises(ValueError, match="mu"):
-        AffineMap(5, 0, 0)
-    with pytest.raises(ValueError, match="t "):
-        AffineMap(5, 1, 5)
-
-
 def test_affine_maps_enumeration():
     maps = affine_maps(5)
     assert len(maps) == 20
-    assert len({m.permutation for m in maps}) == 20
+    assert len(set(maps)) == 20
     # mod three the affine maps exhaust the permutations of the residues
-    assert sorted(m.permutation for m in affine_maps(3)) == sorted(
-        itertools.permutations(range(3))
-    )
+    assert sorted(affine_maps(3)) == sorted(itertools.permutations(range(3)))
     with pytest.raises(CapExceededError, match="affine_maps is capped at p = 31"):
         affine_maps(37)
     with pytest.raises(ValueError, match="odd prime"):
         affine_maps(9)
+
+
+def test_affine_maps_are_permutations_in_mu_t_order():
+    maps = affine_maps(5)
+    assert maps[0] == (0, 1, 2, 3, 4)
+    # x -> 2x + 1 comes after the five translations and one further shift
+    assert maps[6] == (1, 3, 0, 2, 4)
+    assert maps == tuple(
+        tuple((mu * x + t) % 5 for x in range(5))
+        for mu in range(1, 5)
+        for t in range(5)
+    )
 
 
 def test_cycle_index_validation():
@@ -102,9 +94,7 @@ def test_affine_cycle_index_matches_brute_force():
     """The closed form agrees term by term with averaging cycle types over
     every affine permutation, for every odd prime up to the cap."""
     for p in ODD_PRIMES_TO_CAP:
-        brute = cycle_index_from_permutations(
-            [m.permutation for m in affine_maps(p)]
-        )
+        brute = cycle_index_from_permutations(affine_maps(p))
         closed = affine_cycle_index(p)
         assert closed.terms == brute.terms, p
         assert sum(c for _, c in closed.terms) == 1

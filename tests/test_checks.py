@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import types
 from collections import Counter
 
 import pytest
@@ -18,6 +19,7 @@ from nrtloops.checks import (
     suite_passed,
 )
 from nrtloops.flips import FlipSet, affine_family, flip_loop
+from nrtloops.groups import subgroup
 from nrtloops.isotopy import IsotopyWitness, are_isotopic
 
 EXPECTED_LABELS = [
@@ -285,3 +287,149 @@ def test_thm312_fails_when_transitive_members_are_not_isomorphic(monkeypatch):
     assert [r.label for r in failed] == ["dihedral3-rotations"]
     # all three rotation-subgroup loops are transitive; the first two are named
     assert failed[0].details_dict() == {"first": "1,x", "second": "1,xy"}
+
+
+def _catalog(*labels):
+    return [e for e in default_catalog() if e.label in labels]
+
+
+def _one_isotopy_class(monkeypatch):
+    """Make every entry's isotopy partition a single class."""
+    original = checks._EntryData.partition
+
+    def merged(self, relation):
+        partition = original(self, relation)
+        if relation != "isotopy":
+            return partition
+        return dataclasses.replace(
+            partition,
+            classes=(tuple(range(len(self.loops))),),
+            representatives=(self.loops[0],),
+        )
+
+    monkeypatch.setattr(checks._EntryData, "partition", merged)
+
+
+def test_prop35_reports_when_one_class_is_forced(monkeypatch):
+    _one_isotopy_class(monkeypatch)
+    # no alt:4 transversal is a loop, and six elements span no proper subgroup
+    assert run_suite(_catalog("alt4-double-swap"), ["prop3.5"]) == [
+        CheckReport("prop3.5", "alt4-double-swap", "pass", {"transversals": 32})
+    ]
+    # the rotation subgroup of sym:3 is a loop transversal
+    assert run_suite(_catalog("sym3-point-swap"), ["prop3.5"]) == [
+        CheckReport(
+            "prop3.5",
+            "sym3-point-swap",
+            "fail",
+            {"loop_transversal": "I,(1,3,2),(1,2,3)"},
+        )
+    ]
+    # with no loop transversals left, the same transversal spans only itself
+    monkeypatch.setattr(
+        "nrtloops.checks.structure_flags",
+        lambda loop: types.SimpleNamespace(is_loop=False),
+    )
+    assert run_suite(_catalog("sym3-point-swap"), ["prop3.5"]) == [
+        CheckReport(
+            "prop3.5", "sym3-point-swap", "fail", {"proper_span": "I,(1,3,2),(1,2,3)"}
+        )
+    ]
+
+
+def test_prop33_fails_when_the_core_is_the_whole_group(monkeypatch):
+    monkeypatch.setattr(
+        "nrtloops.checks.core", lambda G, H: subgroup(G, range(G.order))
+    )
+    assert run_suite(_catalog("sym3-point-swap"), ["prop3.3"]) == [
+        CheckReport(
+            "prop3.3",
+            "sym3-point-swap",
+            "fail",
+            {"core_order": 6, "itp": 2, "itp_quotient": 1},
+        )
+    ]
+
+
+def test_one_class_checks_fail_on_a_non_normal_subgroup(monkeypatch):
+    _one_isotopy_class(monkeypatch)
+    failed = {"itp": 1, "normal": False}
+    assert run_suite(_catalog("dihedral4-mirror"), ["prop3.7"]) == [
+        CheckReport("prop3.7", "dihedral4-mirror", "fail", failed)
+    ]
+    assert run_suite(_catalog("sym3-point-swap"), ["prop3.8", "cor3.8"]) == [
+        CheckReport("prop3.8", "sym3-point-swap", "fail", failed),
+        CheckReport("cor3.8", "sym3-point-swap", "fail", failed),
+    ]
+
+
+def test_thm42_fails_when_the_formula_disagrees(monkeypatch):
+    monkeypatch.setattr("nrtloops.checks.dihedral_isotopy_count", lambda p: 4)
+    assert run_suite(check_ids=["thm4.2"], ps=(5,)) == [
+        CheckReport(
+            "thm4.2",
+            "p=5",
+            "fail",
+            {"direct": 3, "families": 3, "formula": 4, "orbit_count": 6},
+        )
+    ]
+
+
+def test_prop39_reports_a_failing_autotopy_before_any_eta(monkeypatch):
+    monkeypatch.setattr("nrtloops.checks.pseudo_automorphism_check", lambda *a: False)
+    reports = run_suite(check_ids=["prop3.9"])
+    assert len(reports) == 16
+    assert {r.verdict for r in reports} == {"fail"}
+    identity = IsotopyWitness.identity(5)
+    assert reports[0] == CheckReport(
+        "prop3.9",
+        "mod5 B={}",
+        "fail",
+        {
+            "autotopy": repr(identity),
+            "left": (True, True, False),
+            "right": (True, True, False),
+        },
+    )
+
+
+def _misreported_triples(monkeypatch, wrong):
+    """Make the triples for which wrong(eta, c, side) holds verify exactly
+    when the real ones do not."""
+    real = checks.pseudo_autotopy_triple
+
+    def triple(loop, eta, c, side):
+        witness = real(loop, eta, c, side)
+        if not wrong(eta, c, side):
+            return witness
+        return types.SimpleNamespace(verify=lambda L1, L2: not witness.verify(L1, L2))
+
+    monkeypatch.setattr("nrtloops.checks.pseudo_autotopy_triple", triple)
+
+
+def test_prop39_reports_the_first_failing_eta_on_the_right(monkeypatch):
+    _misreported_triples(
+        monkeypatch, lambda eta, c, side: side == "right" and eta != (0, 1, 2, 3, 4)
+    )
+    reports = run_suite(check_ids=["prop3.9"])
+    assert len(reports) == 16
+    # etas run in permutation order, each through every companion
+    assert reports[0] == CheckReport(
+        "prop3.9",
+        "mod5 B={}",
+        "fail",
+        {"companion": 0, "eta": (0, 1, 2, 4, 3), "side": "right"},
+    )
+
+
+def test_prop39_reports_the_first_failing_eta_on_the_left(monkeypatch):
+    _misreported_triples(monkeypatch, lambda eta, c, side: side == "left" and c == 1)
+    reports = run_suite(check_ids=["prop3.9"])
+    assert len(reports) == 16
+    # the right side of companion 1 is checked, and holds, before its left side
+    assert reports[0] == CheckReport(
+        "prop3.9",
+        "mod5 B={}",
+        "fail",
+        {"companion": 1, "eta": (0, 1, 2, 3, 4), "side": "left"},
+    )

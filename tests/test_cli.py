@@ -425,6 +425,19 @@ def test_size_caps_exit_three(capsys):
     assert capsys.readouterr() == ("331185 = 331185\n", "")
 
 
+def test_dihedral_count_checks_the_cap_before_the_formula(monkeypatch, capsys):
+    def formula(p):
+        raise AssertionError(f"the formula ran at p = {p}")
+
+    monkeypatch.setattr("nrtloops.checks.dihedral_isotopy_count", formula)
+    for argv in (
+        ["dihedral", "count", "--p", "100000007"],
+        ["verify", "--check", "thm4.2", "--p", "100000007"],
+    ):
+        assert cli.main(argv) == 3
+        assert capsys.readouterr() == ("", "error: affine_maps is capped at p = 31\n")
+
+
 def test_dihedral_census_text():
     result = run_cli("dihedral", "census", "--n", "4")
     assert result.returncode == 0

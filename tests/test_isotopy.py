@@ -694,3 +694,14 @@ def test_pseudo_autotopy_triple_matches_the_check():
         pseudo_autotopy_triple(L3, (0, 1, 2), 1, "left")
     with pytest.raises(ValueError, match="side"):
         pseudo_autotopy_triple(L3, (0, 1, 2), 0, "middle")
+
+
+def test_pseudo_automorphism_companion_is_range_checked():
+    loop = flip_loop(5, (1,))
+    identity = (0, 1, 2, 3, 4)
+    for c in (-1, 5):
+        for check in (pseudo_automorphism_check, pseudo_autotopy_triple):
+            with pytest.raises(ValueError, match=f"^companion {c} is out of range"):
+                check(loop, identity, c, "right")
+            with pytest.raises(NotLeftNonsingularError):
+                check(loop, identity, c, "left")

@@ -109,6 +109,16 @@ def test_transversal_from_elements():
         transversal_from_elements(G, H, [0, 2])
 
 
+def test_transversal_from_elements_checks_the_range():
+    G = symmetric_group(3)
+    H = parse_subgroup(G, "(2,3)")
+    for bad in (9, -1):
+        with pytest.raises(
+            GroupError, match=f"^element index {bad} out of range for order 6$"
+        ):
+            transversal_from_elements(G, H, [0, bad, 2])
+
+
 def test_enumeration_cap():
     A = alternating_group(4)
     H = parse_subgroup(A, "(1,2)(3,4)")
