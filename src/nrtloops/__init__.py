@@ -80,6 +80,7 @@ from .isotopy import (
     isomorphisms,
     principal_isotope_with_relabel,
     pseudo_automorphism_check,
+    pseudo_automorphism_scan,
     pseudo_autotopy_triple,
 )
 from .perms import (

@@ -37,7 +37,7 @@ from .isotopy import (
     classify,
     isomorphisms,
     pseudo_automorphism_check,
-    pseudo_autotopy_triple,
+    pseudo_automorphism_scan,
 )
 from .rightloops import left_nonsingular_elements, structure_flags
 from .transversals import enumerate_transversals, induced_right_loop
@@ -444,14 +444,9 @@ def _prop39_failure(loop, group) -> dict | None:
         )
         if len(set(right)) != 1 or len(set(left)) != 1:
             return {"autotopy": repr(w), "right": right, "left": left}
-    lns = left_nonsingular_elements(loop)
-    for eta in itertools.permutations(range(loop.order)):
-        for c in range(loop.order):
-            for side in ("right", "left") if c in lns else ("right",):
-                holds = pseudo_automorphism_check(loop, eta, c, side)
-                triple = pseudo_autotopy_triple(loop, eta, c, side)
-                if holds != triple.verify(loop, loop):
-                    return {"eta": eta, "companion": c, "side": side}
+    for eta, c, side, holds, is_autotopy in pseudo_automorphism_scan(loop):
+        if holds != is_autotopy:
+            return {"eta": eta, "companion": c, "side": side}
     return None
 
 
@@ -533,11 +528,24 @@ def flip_classes(p: int) -> list[frozenset[FlipSet]] | None:
     return [frozenset(subsets[m] for m in members) for members in partition.classes]
 
 
-def _check_thm41(p: int):
+class _PrimeData:
+    """Lazily computed artifacts for one prime modulus, shared by the checks
+    of one run_suite call."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    @cached_property
+    def classes(self):
+        return flip_classes(self.p)
+
+
+def _check_thm41(prime: _PrimeData):
     """For an odd prime modulus, two flip loops are isotopic exactly when
     each flip set lies in the other's affine family: the families are
     symmetric and equal the isotopy classes."""
-    classes = flip_classes(p)
+    p = prime.p
+    classes = prime.classes
     if classes is None:
         return "vacuous", {
             "note": f"direct classification capped at p={FLIP_CLASS_PRIME_CAP}"
@@ -580,19 +588,24 @@ class FlipClassCounts:
 
 
 def flip_class_counts(p: int) -> FlipClassCounts:
+    return _flip_class_counts(_PrimeData(p))
+
+
+def _flip_class_counts(prime: _PrimeData) -> FlipClassCounts:
+    p = prime.p
     # the orbit count hits the affine-map cap before the formula builds 2^p
     orbit_count = subset_orbit_count(p)
-    classes = flip_classes(p)
+    classes = prime.classes
     direct = None if classes is None else len(classes)
     return FlipClassCounts(p, dihedral_isotopy_count(p), orbit_count, direct)
 
 
-def _check_thm42(p: int):
+def _check_thm42(prime: _PrimeData):
     """The isotopy class count of mod-p flip loops from the cycle-index
     formula agrees with the Burnside orbit count, the family census, and
     (for p up to FLIP_CLASS_PRIME_CAP) direct classification."""
-    counts = flip_class_counts(p)
-    families = len(affine_families(p))
+    counts = _flip_class_counts(prime)
+    families = len(affine_families(prime.p))
     details = {
         "formula": counts.formula,
         "orbit_count": counts.orbit_count,
@@ -609,7 +622,7 @@ def _per_entry(check):
     entry; a check that does not apply to an entry returns None and gives
     no report."""
 
-    def run(entries, ps):
+    def run(entries, primes):
         for data in entries:
             result = check(data)
             if result is not None:
@@ -619,7 +632,9 @@ def _per_entry(check):
 
 
 def _per_prime(check):
-    return lambda entries, ps: ((f"p={p}", *check(p)) for p in ps)
+    return lambda entries, primes: (
+        (f"p={prime.p}", *check(prime)) for prime in primes
+    )
 
 
 # each check id, in report order, with its runner over (entries, primes),
@@ -632,7 +647,7 @@ _CHECKS = {
     "prop3.7": _per_entry(_check_prop37),
     "prop3.8": _per_entry(_check_prop38),
     "cor3.8": _per_entry(_check_cor38),
-    "prop3.9": lambda entries, ps: _check_prop39(),
+    "prop3.9": lambda entries, primes: _check_prop39(),
     "thm3.12": _per_entry(_check_thm312),
     "thm4.1": _per_prime(_check_thm41),
     "thm4.2": _per_prime(_check_thm42),
@@ -659,10 +674,11 @@ def run_suite(catalog=None, check_ids=None, ps=DEFAULT_PRIMES) -> list[CheckRepo
             raise ValueError(f"unknown check ids: {', '.join(unknown)}")
         requested = [c for c in CHECK_IDS if c in requested]
     data = [_EntryData(entry) for entry in catalog]
+    primes = [_PrimeData(p) for p in ps]
     return [
         CheckReport(check_id, label, verdict, details)
         for check_id in requested
-        for label, verdict, details in _CHECKS[check_id](data, ps)
+        for label, verdict, details in _CHECKS[check_id](data, primes)
     ]
 
 

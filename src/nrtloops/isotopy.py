@@ -15,6 +15,7 @@ it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,10 +57,8 @@ class IsotopyWitness:
             return False
         if not all(is_permutation(p, n) for p in (self.alpha, self.beta, self.gamma)):
             return False
-        t1, t2 = source.table, target.table
-        a, b, g = self.alpha, self.beta, self.gamma
-        return all(
-            t2[a[x]][b[y]] == g[t1[x][y]] for x in range(n) for y in range(n)
+        return _isotopy_identity(
+            source.table, target.table, self.alpha, self.beta, self.gamma
         )
 
     def inverse(self) -> "IsotopyWitness":
@@ -75,6 +74,13 @@ class IsotopyWitness:
 
     def is_isomorphism(self) -> bool:
         return self.alpha == self.beta == self.gamma
+
+
+def _isotopy_identity(t1, t2, a, b, g) -> bool:
+    """alpha(x) * beta(y) = gamma(x * y) for all x, y: the maps a, b, g
+    carry the table t1 onto the table t2 of the same order."""
+    n = len(t1)
+    return all(t2[a[x]][b[y]] == g[t1[x][y]] for x in range(n) for y in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +185,11 @@ def isomorphisms(L1: RightLoop, L2: RightLoop):
     """Yield every isomorphism f: L1 -> L2 (as an image tuple, f[0] = 0)."""
     if L2.order != L1.order:
         return
-    sig1, sig2 = _signatures(L1), _signatures(L2)
+    sig1 = _signatures(L1)
+    if L2 is L1:
+        yield from _isomorphisms(L1.table, L1.table, sig1, sig1)
+        return
+    sig2 = _signatures(L2)
     if sorted(sig1) == sorted(sig2):
         yield from _isomorphisms(L1.table, L2.table, sig1, sig2)
 
@@ -237,10 +247,16 @@ def _principal_isotopes(loop: RightLoop):
 
 
 def _isotopies(L1: RightLoop, L2: RightLoop):
-    """Every isotopy from L1 onto L2, repeats possible: a principal isotopy
-    of L1, then the inverse of an isomorphism from L2 onto that isotope."""
+    """Every isotopy from L1 onto L2, a loop of the same order, repeats
+    possible: a principal isotopy of L1, then the inverse of an isomorphism
+    from L2 onto that isotope. L2's signatures are computed once."""
+    sig2 = _signatures(L2)
+    key = sorted(sig2)
     for isotope, principal in _principal_isotopes(L1):
-        for f in isomorphisms(L2, isotope):
+        sig = _signatures(isotope)
+        if sorted(sig) != key:
+            continue
+        for f in _isomorphisms(L2.table, isotope.table, sig2, sig):
             f_inv = invert(f)
             yield principal.then(IsotopyWitness(f_inv, f_inv, f_inv))
 
@@ -446,37 +462,63 @@ def _check_closed(found, witnesses, n: int) -> None:
                     queue.append((product, generators))
 
 
-def pseudo_automorphism_check(
-    loop: RightLoop, eta, companion: int, side: str = "right"
-) -> bool:
-    """Check the pseudo-automorphism identity for a bijection eta with the
-    given companion: on the right, eta(x*y) * c = eta(x) * (eta(y) * c); on
-    the left, c * eta(x*y) = (c * eta(x)) * eta(y), which requires c to be
-    left non-singular."""
-    n = loop.order
-    eta = tuple(eta)
-    if not is_permutation(eta, n):
-        raise ValueError("eta must be a bijection on positions")
+def _pseudo_automorphism_identity(t, eta, c, side: str) -> bool:
+    """Whether eta fixes 0 and, on the right, eta(x*y) * c = eta(x) *
+    (eta(y) * c), or on the left, c * eta(x*y) = (c * eta(x)) * eta(y),
+    for all x, y of the table t."""
     if eta[0] != 0:
         return False
-    t = loop.table
-    c = companion
+    n = len(t)
     if side == "right":
-        if not 0 <= c < n:
-            raise ValueError(f"companion {c} is out of range 0..{n - 1}")
         return all(
             t[eta[t[x][y]]][c] == t[eta[x]][t[eta[y]][c]]
             for x in range(n)
             for y in range(n)
         )
-    if side == "left":
-        _require_left_nonsingular(loop, c)
-        return all(
-            t[c][eta[t[x][y]]] == t[t[c][eta[x]]][eta[y]]
-            for x in range(n)
-            for y in range(n)
-        )
-    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    row = t[c]
+    return all(
+        row[eta[t[x][y]]] == t[row[eta[x]]][eta[y]] for x in range(n) for y in range(n)
+    )
+
+
+def _pseudo_autotopy(t, eta, c, side: str):
+    """The triple attached to eta and c: on the right (eta, R(c) o eta,
+    R(c) o eta); on the left (L(c) o eta, eta, L(c) o eta)."""
+    if side == "right":
+        shifted = tuple(t[y][c] for y in eta)
+        return eta, shifted, shifted
+    row = t[c]
+    shifted = tuple(row[y] for y in eta)
+    return shifted, eta, shifted
+
+
+def _checked_eta(loop: RightLoop, eta, companion: int, side: str) -> tuple[int, ...]:
+    """eta as a tuple, once it is a bijection on positions, side is 'right'
+    or 'left', and the companion is an element, left non-singular on the
+    left; raises ValueError otherwise."""
+    n = loop.order
+    eta = tuple(eta)
+    if not is_permutation(eta, n):
+        raise ValueError("eta must be a bijection on positions")
+    if side == "right":
+        if not 0 <= companion < n:
+            raise ValueError(f"companion {companion} is out of range 0..{n - 1}")
+    elif side == "left":
+        _require_left_nonsingular(loop, companion)
+    else:
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    return eta
+
+
+def pseudo_automorphism_check(
+    loop: RightLoop, eta, companion: int, side: str = "right"
+) -> bool:
+    """Check the pseudo-automorphism identity for a bijection eta fixing 0
+    with the given companion: on the right, eta(x*y) * c = eta(x) * (eta(y)
+    * c); on the left, c * eta(x*y) = (c * eta(x)) * eta(y), which requires
+    c to be left non-singular."""
+    eta = _checked_eta(loop, eta, companion, side)
+    return _pseudo_automorphism_identity(loop.table, eta, companion, side)
 
 
 def pseudo_autotopy_triple(
@@ -485,16 +527,31 @@ def pseudo_autotopy_triple(
     """The autotopy candidate attached to a pseudo-automorphism: on the
     right (eta, R(c) o eta, R(c) o eta); on the left (L(c) o eta, eta,
     L(c) o eta)."""
+    eta = _checked_eta(loop, eta, companion, side)
+    return IsotopyWitness(*_pseudo_autotopy(loop.table, eta, companion, side))
+
+
+def pseudo_automorphism_scan(loop: RightLoop):
+    """Yield (eta, c, side, holds, is_autotopy) for every bijection eta, in
+    permutation order, and each companion c, on the right and then, when c
+    is left non-singular, on the left. holds is what
+    pseudo_automorphism_check answers and is_autotopy whether the
+    pseudo_autotopy_triple is an autotopy of the loop; the arguments are
+    valid by construction, so no witness is built per case."""
     n = loop.order
-    eta = tuple(eta)
     t = loop.table
-    if side == "right":
-        if not 0 <= companion < n:
-            raise ValueError(f"companion {companion} is out of range 0..{n - 1}")
-        shifted = tuple(t[eta[x]][companion] for x in range(n))
-        return IsotopyWitness(eta, shifted, shifted)
-    if side == "left":
-        _require_left_nonsingular(loop, companion)
-        shifted = tuple(t[companion][eta[x]] for x in range(n))
-        return IsotopyWitness(shifted, eta, shifted)
-    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    lns = set(left_nonsingular_elements(loop))
+    sides = [("right", "left") if c in lns else ("right",) for c in range(n)]
+    for eta in itertools.permutations(range(n)):
+        bijective = is_permutation(eta, n)
+        for c in range(n):
+            for side in sides[c]:
+                holds = _pseudo_automorphism_identity(t, eta, c, side)
+                a, b, g = _pseudo_autotopy(t, eta, c, side)
+                # the triple is eta and the shifted map g, once or twice
+                is_autotopy = (
+                    bijective
+                    and is_permutation(g, n)
+                    and _isotopy_identity(t, t, a, b, g)
+                )
+                yield eta, c, side, holds, is_autotopy

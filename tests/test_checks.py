@@ -394,17 +394,17 @@ def test_prop39_reports_a_failing_autotopy_before_any_eta(monkeypatch):
 
 
 def _misreported_triples(monkeypatch, wrong):
-    """Make the triples for which wrong(eta, c, side) holds verify exactly
-    when the real ones do not."""
-    real = checks.pseudo_autotopy_triple
+    """Make the scan report the triples for which wrong(eta, c, side) holds
+    as autotopies exactly when the real ones are not."""
+    real = checks.pseudo_automorphism_scan
 
-    def triple(loop, eta, c, side):
-        witness = real(loop, eta, c, side)
-        if not wrong(eta, c, side):
-            return witness
-        return types.SimpleNamespace(verify=lambda L1, L2: not witness.verify(L1, L2))
+    def scan(loop):
+        for eta, c, side, holds, is_autotopy in real(loop):
+            if wrong(eta, c, side):
+                is_autotopy = not is_autotopy
+            yield eta, c, side, holds, is_autotopy
 
-    monkeypatch.setattr("nrtloops.checks.pseudo_autotopy_triple", triple)
+    monkeypatch.setattr("nrtloops.checks.pseudo_automorphism_scan", scan)
 
 
 def test_prop39_reports_the_first_failing_eta_on_the_right(monkeypatch):

@@ -25,6 +25,7 @@ from nrtloops.isotopy import (
     isomorphisms,
     principal_isotope_with_relabel,
     pseudo_automorphism_check,
+    pseudo_automorphism_scan,
     pseudo_autotopy_triple,
 )
 from nrtloops.perms import CapExceededError, cycle_type, invert
@@ -675,6 +676,14 @@ def test_pseudo_automorphism_check():
         pseudo_automorphism_check(z3, inversion, 0, "middle")
     with pytest.raises(NotLeftNonsingularError):
         pseudo_automorphism_check(L3, inversion, 1, "left")
+    # the arguments are checked before eta's image of 0
+    with pytest.raises(ValueError, match="side"):
+        pseudo_automorphism_check(z3, (1, 0, 2), 0, "middle")
+    for c in (99, -1):
+        with pytest.raises(ValueError, match=f"^companion {c} is out of range"):
+            pseudo_automorphism_check(z3, (1, 0, 2), c, "right")
+    with pytest.raises(NotLeftNonsingularError):
+        pseudo_automorphism_check(L3, (1, 0, 2), 1, "left")
 
 
 def test_pseudo_autotopy_triple_matches_the_check():
@@ -694,6 +703,8 @@ def test_pseudo_autotopy_triple_matches_the_check():
         pseudo_autotopy_triple(L3, (0, 1, 2), 1, "left")
     with pytest.raises(ValueError, match="side"):
         pseudo_autotopy_triple(L3, (0, 1, 2), 0, "middle")
+    with pytest.raises(ValueError, match="^eta must be a bijection on positions$"):
+        pseudo_autotopy_triple(L3, (0, 0, 1), 0, "right")
 
 
 def test_pseudo_automorphism_companion_is_range_checked():
@@ -705,3 +716,31 @@ def test_pseudo_automorphism_companion_is_range_checked():
                 check(loop, identity, c, "right")
             with pytest.raises(NotLeftNonsingularError):
                 check(loop, identity, c, "left")
+
+
+def test_pseudo_automorphism_scan_matches_the_public_functions():
+    """Case by case and in order: every eta in permutation order, each
+    companion, right before left, left only at left non-singular ones."""
+    L3 = validate_right_loop(T3)
+    assert left_nonsingular_elements(L3) == (0,)
+    loops = [flip_loop(5, B) for B in flip_sets(5)]
+    loops += [validate_right_loop(cyclic_group(5).table), L3]
+    seen = set()
+    for loop in loops:
+        lns = left_nonsingular_elements(loop)
+        expected = [
+            (
+                eta,
+                c,
+                side,
+                pseudo_automorphism_check(loop, eta, c, side),
+                pseudo_autotopy_triple(loop, eta, c, side).verify(loop, loop),
+            )
+            for eta in itertools.permutations(range(loop.order))
+            for c in range(loop.order)
+            for side in (("right", "left") if c in lns else ("right",))
+        ]
+        assert list(pseudo_automorphism_scan(loop)) == expected
+        seen |= {(side, holds) for _, _, side, holds, _ in expected}
+    # the identity holds in some cases and fails in others, on both sides
+    assert seen == {(s, h) for s in ("right", "left") for h in (False, True)}
