@@ -79,9 +79,7 @@ from .isotopy import (
     classify,
     isomorphisms,
     principal_isotope_with_relabel,
-    pseudo_automorphism_check,
     pseudo_automorphism_scan,
-    pseudo_autotopy_triple,
 )
 from .perms import (
     CapExceededError,

@@ -36,7 +36,6 @@ from .isotopy import (
     autotopy_group,
     classify,
     isomorphisms,
-    pseudo_automorphism_check,
     pseudo_automorphism_scan,
 )
 from .rightloops import left_nonsingular_elements, structure_flags
@@ -374,7 +373,10 @@ def _check_prop33(data: _EntryData):
 
 def _check_prop35(data: _EntryData):
     """With a corefree subgroup and a single isotopy class, no transversal
-    is a loop transversal and every transversal generates the group."""
+    is a loop transversal and every transversal generates the group. The
+    trivial subgroup is excluded: its only transversal is the group."""
+    if data.subgroup.order == 1:
+        return "vacuous", {"subgroup_order": 1}
     N = core(data.group, data.subgroup)
     itp = len(data.partition("isotopy").classes)
     if N.order != 1 or itp != 1:
@@ -430,21 +432,24 @@ def _prop39_failure(loop, group) -> dict | None:
     """The first counterexample to prop3.9 on one loop: an autotopy whose
     three right (or left) conditions disagree, else a bijection eta and
     companion c, right before left, whose pseudo-automorphism identity
-    disagrees with the associated triple being an autotopy."""
+    disagrees with the associated triple being an autotopy. Both read one
+    scan; it has both cases of each autotopy, since the row of alpha(0) is
+    gamma o beta^-1, so alpha(0) is left non-singular."""
+    cases = {case[:3]: case[3:] for case in pseudo_automorphism_scan(loop)}
     for w in group.elements:
         right = (
             w.alpha[0] == 0,
             w.beta == w.gamma,
-            pseudo_automorphism_check(loop, w.alpha, w.beta[0], "right"),
+            cases[w.alpha, w.beta[0], "right"][0],
         )
         left = (
             w.beta[0] == 0,
             w.alpha == w.gamma,
-            pseudo_automorphism_check(loop, w.beta, w.alpha[0], "left"),
+            cases[w.beta, w.alpha[0], "left"][0],
         )
         if len(set(right)) != 1 or len(set(left)) != 1:
             return {"autotopy": repr(w), "right": right, "left": left}
-    for eta, c, side, holds, is_autotopy in pseudo_automorphism_scan(loop):
+    for (eta, c, side), (holds, is_autotopy) in cases.items():
         if holds != is_autotopy:
             return {"eta": eta, "companion": c, "side": side}
     return None

@@ -75,15 +75,23 @@ def _check_table(order: int, table, full: bool) -> None:
         b = table[a].index(0)
         if table[b][a] != 0:
             raise GroupError(f"element {a} has no two-sided inverse")
-    if full:
-        for a in range(order):
-            ta = table[a]
-            for b in range(order):
-                left_row = table[ta[b]]
-                tb = table[b]
-                for c in range(order):
-                    if left_row[c] != ta[tb[c]]:
-                        raise GroupError(f"associativity fails at ({a},{b},{c})")
+    if full and (failure := _associativity_failure(table)) is not None:
+        a, b, c = failure
+        raise GroupError(f"associativity fails at ({a},{b},{c})")
+
+
+def _associativity_failure(table) -> tuple[int, int, int] | None:
+    """The first (a, b, c), in lexicographic order, with (a*b)*c != a*(b*c)
+    in the square table, or None when it is associative."""
+    n = len(table)
+    for a, ta in enumerate(table):
+        for b in range(n):
+            left_row = table[ta[b]]
+            tb = table[b]
+            for c in range(n):
+                if left_row[c] != ta[tb[c]]:
+                    return a, b, c
+    return None
 
 
 @dataclass(frozen=True)
@@ -283,22 +291,15 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def is_solvable(G: FiniteGroup) -> bool:
-    current = G
-    while True:
-        D = derived_subgroup(current)
-        if D.order == 1:
-            return True
-        if D.order == current.order:
+    """Whether the derived series, walked on member sets inside G, ends at 1."""
+    members = range(G.order)
+    while len(members) > 1:
+        comms = {G.commutator(a, b) for a in members for b in members}
+        derived = generated_subgroup(G, comms).members
+        if len(derived) == len(members):
             return False
-        sub_table = _restrict_table(current, D.members)
-        current = FiniteGroup(D.order, sub_table, None, "derived")
-
-
-def _restrict_table(G: FiniteGroup, members) -> tuple[tuple[int, ...], ...]:
-    index = {m: i for i, m in enumerate(members)}
-    return tuple(
-        tuple(index[G.mul(a, b)] for b in members) for a in members
-    )
+        members = derived
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -145,12 +145,7 @@ def _extend(t1, t2, sig1, sig2, candidates, f, used, done):
     finished search leaves no reference cycle behind."""
     if -1 not in f:
         final = tuple(f)
-        n = len(t1)
-        if all(
-            t2[final[a]][final[b]] == final[t1[a][b]]
-            for a in range(n)
-            for b in range(n)
-        ):
+        if _isotopy_identity(t1, t2, final, final, final):
             yield final
         return
     x = f.index(-1)
@@ -203,11 +198,6 @@ def are_isomorphic(L1: RightLoop, L2: RightLoop) -> tuple[int, ...] | None:
 # principal isotopes
 
 
-def _require_left_nonsingular(loop: RightLoop, x: int) -> None:
-    if x not in range(loop.order) or len(set(loop.table[x])) != loop.order:
-        raise NotLeftNonsingularError(f"element {x} is not left non-singular")
-
-
 def principal_isotope_with_relabel(
     loop: RightLoop, a: int, b: int
 ) -> tuple[RightLoop, IsotopyWitness]:
@@ -215,8 +205,9 @@ def principal_isotope_with_relabel(
     the swap s of its identity a*b with 0. Returns (isotope, principal),
     where principal = (s o R(b), s o L(a), s) is the isotopy from loop onto
     the isotope."""
-    _require_left_nonsingular(loop, a)
     n = loop.order
+    if a not in range(n) or len(set(loop.table[a])) != n:
+        raise NotLeftNonsingularError(f"element {a} is not left non-singular")
     if b not in range(n):
         raise ValueError(f"element {b} is out of range 0..{n - 1}")
     t = loop.table
@@ -492,66 +483,23 @@ def _pseudo_autotopy(t, eta, c, side: str):
     return shifted, eta, shifted
 
 
-def _checked_eta(loop: RightLoop, eta, companion: int, side: str) -> tuple[int, ...]:
-    """eta as a tuple, once it is a bijection on positions, side is 'right'
-    or 'left', and the companion is an element, left non-singular on the
-    left; raises ValueError otherwise."""
-    n = loop.order
-    eta = tuple(eta)
-    if not is_permutation(eta, n):
-        raise ValueError("eta must be a bijection on positions")
-    if side == "right":
-        if not 0 <= companion < n:
-            raise ValueError(f"companion {companion} is out of range 0..{n - 1}")
-    elif side == "left":
-        _require_left_nonsingular(loop, companion)
-    else:
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    return eta
-
-
-def pseudo_automorphism_check(
-    loop: RightLoop, eta, companion: int, side: str = "right"
-) -> bool:
-    """Check the pseudo-automorphism identity for a bijection eta fixing 0
-    with the given companion: on the right, eta(x*y) * c = eta(x) * (eta(y)
-    * c); on the left, c * eta(x*y) = (c * eta(x)) * eta(y), which requires
-    c to be left non-singular."""
-    eta = _checked_eta(loop, eta, companion, side)
-    return _pseudo_automorphism_identity(loop.table, eta, companion, side)
-
-
-def pseudo_autotopy_triple(
-    loop: RightLoop, eta, companion: int, side: str = "right"
-) -> IsotopyWitness:
-    """The autotopy candidate attached to a pseudo-automorphism: on the
-    right (eta, R(c) o eta, R(c) o eta); on the left (L(c) o eta, eta,
-    L(c) o eta)."""
-    eta = _checked_eta(loop, eta, companion, side)
-    return IsotopyWitness(*_pseudo_autotopy(loop.table, eta, companion, side))
-
-
 def pseudo_automorphism_scan(loop: RightLoop):
     """Yield (eta, c, side, holds, is_autotopy) for every bijection eta, in
     permutation order, and each companion c, on the right and then, when c
-    is left non-singular, on the left. holds is what
-    pseudo_automorphism_check answers and is_autotopy whether the
-    pseudo_autotopy_triple is an autotopy of the loop; the arguments are
-    valid by construction, so no witness is built per case."""
+    is left non-singular, on the left. holds is whether eta fixes 0 and
+    eta(x*y) * c = eta(x) * (eta(y) * c) on the right, or c * eta(x*y) =
+    (c * eta(x)) * eta(y) on the left; is_autotopy is whether (eta, R(c) o
+    eta, R(c) o eta), or (L(c) o eta, eta, L(c) o eta), is an autotopy.
+    Columns and left non-singular rows are bijective, so each triple is,
+    and no witness is built or validated per case."""
     n = loop.order
     t = loop.table
     lns = set(left_nonsingular_elements(loop))
     sides = [("right", "left") if c in lns else ("right",) for c in range(n)]
     for eta in itertools.permutations(range(n)):
-        bijective = is_permutation(eta, n)
         for c in range(n):
             for side in sides[c]:
                 holds = _pseudo_automorphism_identity(t, eta, c, side)
                 a, b, g = _pseudo_autotopy(t, eta, c, side)
-                # the triple is eta and the shifted map g, once or twice
-                is_autotopy = (
-                    bijective
-                    and is_permutation(g, n)
-                    and _isotopy_identity(t, t, a, b, g)
-                )
+                is_autotopy = _isotopy_identity(t, t, a, b, g)
                 yield eta, c, side, holds, is_autotopy

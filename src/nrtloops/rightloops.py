@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .groups import _associativity_failure
 from .perms import CapExceededError, compose, invert
 
 
@@ -103,13 +104,7 @@ def left_nonsingular_elements(loop: RightLoop) -> tuple[int, ...]:
 
 
 def is_associative(table) -> bool:
-    n = len(table)
-    return all(
-        table[table[a][b]][c] == table[a][table[b][c]]
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-    )
+    return _associativity_failure(table) is None
 
 
 @dataclass(frozen=True)

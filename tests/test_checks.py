@@ -337,6 +337,15 @@ def test_prop35_reports_when_one_class_is_forced(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("group", ["cyclic:4", "cyclic:1"])
+def test_prop35_is_vacuous_on_the_trivial_subgroup(group):
+    # the only transversal of the trivial subgroup is the group itself
+    entry = CatalogEntry("trivial", group, "0", {})
+    assert run_suite([entry], ["prop3.5"]) == [
+        CheckReport("prop3.5", "trivial", "vacuous", {"subgroup_order": 1})
+    ]
+
+
 def test_prop33_fails_when_the_core_is_the_whole_group(monkeypatch):
     monkeypatch.setattr(
         "nrtloops.checks.core", lambda G, H: subgroup(G, range(G.order))
@@ -376,7 +385,13 @@ def test_thm42_fails_when_the_formula_disagrees(monkeypatch):
 
 
 def test_prop39_reports_a_failing_autotopy_before_any_eta(monkeypatch):
-    monkeypatch.setattr("nrtloops.checks.pseudo_automorphism_check", lambda *a: False)
+    real = checks.pseudo_automorphism_scan
+
+    def scan(loop):
+        for eta, c, side, _, is_autotopy in real(loop):
+            yield eta, c, side, False, is_autotopy
+
+    monkeypatch.setattr("nrtloops.checks.pseudo_automorphism_scan", scan)
     reports = run_suite(check_ids=["prop3.9"])
     assert len(reports) == 16
     assert {r.verdict for r in reports} == {"fail"}

@@ -172,7 +172,8 @@ def test_table_validation():
                 [4, 2, 0, 1, 3],
             ],
         )
-    with pytest.raises(GroupError, match="associativity"):
+    # the first failing triple in lexicographic order
+    with pytest.raises(GroupError, match=r"^associativity fails at \(1,2,4\)$"):
         FiniteGroup(10, steiner_loop_table())
 
 
@@ -234,6 +235,9 @@ def test_nilpotent_solvable():
     assert is_solvable(symmetric_group(4))
     assert is_solvable(dihedral_group(7))
     assert not is_solvable(alternating_group(5))
+    assert not is_solvable(symmetric_group(5))
+    for trivial in (cyclic_group(1), symmetric_group(1)):
+        assert is_solvable(trivial)
 
     G = symmetric_group(3)
     D = derived_subgroup(G)

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -24,9 +25,7 @@ from nrtloops.isotopy import (
     classify,
     isomorphisms,
     principal_isotope_with_relabel,
-    pseudo_automorphism_check,
     pseudo_automorphism_scan,
-    pseudo_autotopy_triple,
 )
 from nrtloops.perms import CapExceededError, cycle_type, invert
 from nrtloops.rightloops import (
@@ -660,65 +659,28 @@ def test_autotopy_cap():
         autotopy_group(big)
 
 
-def test_pseudo_automorphism_check():
-    z3 = validate_right_loop(cyclic_group(3).table)
-    inversion = (0, 2, 1)
-    for c in range(3):
-        assert pseudo_automorphism_check(z3, inversion, c, "right")
-        assert pseudo_automorphism_check(z3, inversion, c, "left")
-    L3 = validate_right_loop(T3)
-    assert not pseudo_automorphism_check(L3, inversion, 0, "right")
-    # eta must fix the identity
-    assert not pseudo_automorphism_check(z3, (1, 0, 2), 0, "right")
-    with pytest.raises(ValueError, match="bijection"):
-        pseudo_automorphism_check(z3, (0, 0, 1), 0, "right")
-    with pytest.raises(ValueError, match="side"):
-        pseudo_automorphism_check(z3, inversion, 0, "middle")
-    with pytest.raises(NotLeftNonsingularError):
-        pseudo_automorphism_check(L3, inversion, 1, "left")
-    # the arguments are checked before eta's image of 0
-    with pytest.raises(ValueError, match="side"):
-        pseudo_automorphism_check(z3, (1, 0, 2), 0, "middle")
-    for c in (99, -1):
-        with pytest.raises(ValueError, match=f"^companion {c} is out of range"):
-            pseudo_automorphism_check(z3, (1, 0, 2), c, "right")
-    with pytest.raises(NotLeftNonsingularError):
-        pseudo_automorphism_check(L3, (1, 0, 2), 1, "left")
+def _pseudo_automorphism_holds(t, eta, c, side):
+    """eta fixes 0 and eta(x*y) * c = eta(x) * (eta(y) * c) on the right,
+    or c * eta(x*y) = (c * eta(x)) * eta(y) on the left."""
+    pairs = list(itertools.product(range(len(t)), repeat=2))
+    if side == "right":
+        identity = all(t[eta[t[x][y]]][c] == t[eta[x]][t[eta[y]][c]] for x, y in pairs)
+    else:
+        identity = all(t[c][eta[t[x][y]]] == t[t[c][eta[x]]][eta[y]] for x, y in pairs)
+    return eta[0] == 0 and identity
 
 
-def test_pseudo_autotopy_triple_matches_the_check():
-    z5 = validate_right_loop(cyclic_group(5).table)
-    etas = [
-        (0, *rest) for rest in itertools.permutations(range(1, 5))
-    ]
-    for eta in etas:
-        for c in range(5):
-            for side in ("right", "left"):
-                triple = pseudo_autotopy_triple(z5, eta, c, side)
-                assert triple.verify(z5, z5) == pseudo_automorphism_check(
-                    z5, eta, c, side
-                )
-    L3 = validate_right_loop(T3)
-    with pytest.raises(NotLeftNonsingularError):
-        pseudo_autotopy_triple(L3, (0, 1, 2), 1, "left")
-    with pytest.raises(ValueError, match="side"):
-        pseudo_autotopy_triple(L3, (0, 1, 2), 0, "middle")
-    with pytest.raises(ValueError, match="^eta must be a bijection on positions$"):
-        pseudo_autotopy_triple(L3, (0, 0, 1), 0, "right")
+def _pseudo_autotopy_triple(t, eta, c, side):
+    """(eta, R(c) o eta, R(c) o eta) on the right, (L(c) o eta, eta,
+    L(c) o eta) on the left."""
+    if side == "right":
+        shifted = tuple(t[y][c] for y in eta)
+        return IsotopyWitness(eta, shifted, shifted)
+    shifted = tuple(t[c][y] for y in eta)
+    return IsotopyWitness(shifted, eta, shifted)
 
 
-def test_pseudo_automorphism_companion_is_range_checked():
-    loop = flip_loop(5, (1,))
-    identity = (0, 1, 2, 3, 4)
-    for c in (-1, 5):
-        for check in (pseudo_automorphism_check, pseudo_autotopy_triple):
-            with pytest.raises(ValueError, match=f"^companion {c} is out of range"):
-                check(loop, identity, c, "right")
-            with pytest.raises(NotLeftNonsingularError):
-                check(loop, identity, c, "left")
-
-
-def test_pseudo_automorphism_scan_matches_the_public_functions():
+def test_pseudo_automorphism_scan_follows_the_definitions():
     """Case by case and in order: every eta in permutation order, each
     companion, right before left, left only at left non-singular ones."""
     L3 = validate_right_loop(T3)
@@ -727,20 +689,33 @@ def test_pseudo_automorphism_scan_matches_the_public_functions():
     loops += [validate_right_loop(cyclic_group(5).table), L3]
     seen = set()
     for loop in loops:
-        lns = left_nonsingular_elements(loop)
+        n, t = loop.order, loop.table
         expected = [
             (
                 eta,
                 c,
                 side,
-                pseudo_automorphism_check(loop, eta, c, side),
-                pseudo_autotopy_triple(loop, eta, c, side).verify(loop, loop),
+                _pseudo_automorphism_holds(t, eta, c, side),
+                _pseudo_autotopy_triple(t, eta, c, side).verify(loop, loop),
             )
-            for eta in itertools.permutations(range(loop.order))
-            for c in range(loop.order)
-            for side in (("right", "left") if c in lns else ("right",))
+            for eta in itertools.permutations(range(n))
+            for c in range(n)
+            for side in (("right", "left") if len(set(t[c])) == n else ("right",))
         ]
         assert list(pseudo_automorphism_scan(loop)) == expected
         seen |= {(side, holds) for _, _, side, holds, _ in expected}
     # the identity holds in some cases and fails in others, on both sides
     assert seen == {(s, h) for s in ("right", "left") for h in (False, True)}
+
+
+@pytest.mark.parametrize("descriptor", ["cyclic:5", "sym:3"])
+def test_pseudo_automorphisms_of_a_group_are_its_automorphisms(descriptor):
+    t = build_named_group(descriptor).table
+    n = len(t)
+    cases = list(pseudo_automorphism_scan(validate_right_loop(t)))
+    assert len(cases) == math.factorial(n) * n * 2
+    for eta, c, side, holds, _ in cases:
+        automorphism = all(
+            eta[t[x][y]] == t[eta[x]][eta[y]] for x in range(n) for y in range(n)
+        )
+        assert holds == automorphism, (eta, c, side)
