@@ -680,9 +680,43 @@ def _pseudo_autotopy_triple(t, eta, c, side):
     return IsotopyWitness(shifted, eta, shifted)
 
 
-def test_pseudo_automorphism_scan_follows_the_definitions():
-    """Case by case and in order: every eta in permutation order, each
-    companion, right before left, left only at left non-singular ones."""
+def test_pseudo_automorphism_check():
+    """The scan's holds on known cases: the inversion of Z3 with every
+    companion on both sides, not the inversion of T3 at companion 0, never
+    an eta that moves 0, and no left case at a left singular companion."""
+    z3 = validate_right_loop(cyclic_group(3).table)
+    holds = {(e, c, s): h for e, c, s, h, _ in pseudo_automorphism_scan(z3)}
+    inversion = (0, 2, 1)
+    for c in range(3):
+        assert holds[inversion, c, "right"]
+        assert holds[inversion, c, "left"]
+    # eta must fix the identity
+    assert not holds[(1, 0, 2), 0, "right"]
+    assert not any(h for (eta, _, _), h in holds.items() if eta[0] != 0)
+    L3 = validate_right_loop(T3)
+    holds = {(e, c, s): h for e, c, s, h, _ in pseudo_automorphism_scan(L3)}
+    assert not holds[inversion, 0, "right"]
+    assert (inversion, 0, "left") in holds
+    assert (inversion, 1, "left") not in holds
+    assert (inversion, 2, "left") not in holds
+
+
+def test_pseudo_autotopy_triple_matches_the_check():
+    """On Z5, for every eta fixing 0, each companion and both sides, the
+    triple is an autotopy exactly when eta is a pseudo-automorphism."""
+    z5 = validate_right_loop(cyclic_group(5).table)
+    cases = [case for case in pseudo_automorphism_scan(z5) if case[0][0] == 0]
+    assert len(cases) == math.factorial(4) * 5 * 2
+    for eta, c, side, holds, is_autotopy in cases:
+        triple = _pseudo_autotopy_triple(z5.table, eta, c, side)
+        assert triple.verify(z5, z5) == holds, (eta, c, side)
+        assert is_autotopy == holds, (eta, c, side)
+
+
+def test_pseudo_automorphism_scan_matches_the_public_functions():
+    """Case by case and in order, against holds and is_autotopy as the
+    scan documents them: every eta in permutation order, each companion,
+    right before left, left only at left non-singular ones."""
     L3 = validate_right_loop(T3)
     assert left_nonsingular_elements(L3) == (0,)
     loops = [flip_loop(5, B) for B in flip_sets(5)]
