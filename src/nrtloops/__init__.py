@@ -52,7 +52,6 @@ from .groups import (
     build_named_group,
     core,
     cyclic_group,
-    derived_subgroup,
     dihedral_group,
     dumps_cayley,
     element_index,

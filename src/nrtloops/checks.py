@@ -484,17 +484,8 @@ def _aut_transitive(loop) -> bool:
     n = loop.order
     if n <= 2:
         return True
-    maps = tuple(isomorphisms(loop, loop))
-    reached = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for f in maps:
-            y = f[x]
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    return len(reached) == n - 1
+    # the automorphisms form a group, so the orbit of 1 is its set of images
+    return len({f[1] for f in isomorphisms(loop, loop)}) == n - 1
 
 
 def _check_thm312(data: _EntryData):

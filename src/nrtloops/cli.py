@@ -177,19 +177,20 @@ def _require_odd_prime_arg(p) -> int:
 
 def cmd_group_show(args) -> int:
     G = build_named_group(args.group)
+    names = [G.name_of(a) for a in range(G.order)]
     if args.format == "json":
         _emit_json(
             args,
             {
                 "descriptor": args.group,
                 "order": G.order,
-                "names": list(G.names),
+                "names": names,
                 "table": [list(row) for row in G.table],
             },
         )
     elif args.format == "csv":
         rows = [["order", G.order]]
-        rows.append(["names"] + list(G.names))
+        rows.append(["names"] + names)
         rows.extend(list(row) for row in G.table)
         _emit_csv(args, rows)
     else:

@@ -71,9 +71,11 @@ class FlipSet:
 
     @classmethod
     def parse(cls, n: int, text: str) -> "FlipSet":
-        """Parse a comma-separated residue list; blank means empty."""
+        """Parse a comma-separated residue list, braced or not; blank means empty."""
         text = text.strip()
-        if text in ("", "{}"):
+        if text.startswith("{") and text.endswith("}"):
+            text = text[1:-1].strip()
+        if not text:
             return cls(n, ())
         return cls(n, tuple(int(tok) for tok in text.replace(" ", "").split(",")))
 

@@ -192,20 +192,21 @@ def subgroup(G: FiniteGroup, members) -> Subgroup:
 
 
 def generated_subgroup(G: FiniteGroup, generators) -> Subgroup:
-    """Smallest subgroup of G containing the given element indices."""
+    """Smallest subgroup of G containing the given element indices: the
+    products of generators, as in a finite group an inverse is a power."""
     gens = [int(g) for g in generators]
     for g in gens:
         if not 0 <= g < G.order:
             raise GroupError(f"generator index {g} out of range for order {G.order}")
-    members = {0, *gens}
-    queue = list(members)
+    members = {0}
+    queue = [0]
     while queue:
-        a = queue.pop()
-        for b in list(members):
-            for c in (G.mul(a, b), G.mul(b, a)):
-                if c not in members:
-                    members.add(c)
-                    queue.append(c)
+        row = G.table[queue.pop()]
+        for g in gens:
+            c = row[g]
+            if c not in members:
+                members.add(c)
+                queue.append(c)
     return Subgroup(G, tuple(sorted(members)))
 
 
@@ -283,11 +284,6 @@ def is_nilpotent(G: FiniteGroup) -> bool:
         if nxt == level:
             return False
         level = nxt
-
-
-def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    comms = {G.commutator(a, b) for a in range(G.order) for b in range(G.order)}
-    return generated_subgroup(G, comms)
 
 
 def is_solvable(G: FiniteGroup) -> bool:
@@ -502,8 +498,6 @@ def loads_cayley(text: str) -> FiniteGroup:
     try:
         group = FiniteGroup(n, table, names, "file")
         group.assert_valid()
-    except CayleyFileError:
-        raise
     except GroupError as exc:
         raise CayleyFileError(str(exc)) from None
     return group

@@ -19,8 +19,9 @@ from nrtloops.checks import (
     suite_passed,
 )
 from nrtloops.flips import FlipSet, affine_family, flip_loop
-from nrtloops.groups import subgroup
-from nrtloops.isotopy import IsotopyWitness, are_isotopic
+from nrtloops.groups import build_named_group, parse_subgroup, subgroup
+from nrtloops.isotopy import IsotopyWitness, are_isotopic, isomorphisms
+from nrtloops.transversals import enumerate_transversals, induced_right_loop
 
 EXPECTED_LABELS = [
     "sym3-point-swap",
@@ -287,6 +288,36 @@ def test_thm312_fails_when_transitive_members_are_not_isomorphic(monkeypatch):
     assert [r.label for r in failed] == ["dihedral3-rotations"]
     # all three rotation-subgroup loops are transitive; the first two are named
     assert failed[0].details_dict() == {"first": "1,x", "second": "1,xy"}
+
+
+def _orbit_walk_transitive(loop):
+    """Whether the orbit of 1, grown by applying every automorphism to each
+    newly reached point, is every non-identity position."""
+    n = loop.order
+    if n <= 2:
+        return True
+    maps = tuple(isomorphisms(loop, loop))
+    reached = {1}
+    frontier = [1]
+    while frontier:
+        x = frontier.pop()
+        for f in maps:
+            if f[x] not in reached:
+                reached.add(f[x])
+                frontier.append(f[x])
+    return len(reached) == n - 1
+
+
+@pytest.mark.parametrize(
+    "group, sub, transitive", [("dihedral:5", "x", 2), ("sym:4", "(1,2)", 0)]
+)
+def test_aut_transitive_matches_the_orbit_walk(group, sub, transitive):
+    G = build_named_group(group)
+    H = parse_subgroup(G, sub)
+    loops = [induced_right_loop(t) for t in enumerate_transversals(G, H)]
+    verdicts = [checks._aut_transitive(loop) for loop in loops]
+    assert verdicts == [_orbit_walk_transitive(loop) for loop in loops]
+    assert sum(verdicts) == transitive
 
 
 def _catalog(*labels):

@@ -70,6 +70,20 @@ def test_group_show_csv():
     )
 
 
+def test_group_show_unnamed_table(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
+    descriptor = f"file:{path}"
+    table = run_cli("group", "show", "--group", descriptor)
+    assert (table.returncode, table.stdout) == (0, "3\n0 1 2\n1 2 0\n2 0 1\n")
+    as_json = run_cli("group", "show", "--group", descriptor, "--format", "json")
+    assert as_json.returncode == 0
+    assert json.loads(as_json.stdout)["names"] == ["0", "1", "2"]
+    as_csv = run_cli("group", "show", "--group", descriptor, "--format", "csv")
+    assert as_csv.returncode == 0
+    assert as_csv.stdout.splitlines()[1] == "names,0,1,2"
+
+
 def test_output_flag_writes_file(tmp_path):
     target = tmp_path / "table.txt"
     result = run_cli("group", "show", "--group", "cyclic:3", "--output", str(target))
@@ -358,6 +372,11 @@ def test_dihedral_families_text():
     picked = run_cli("dihedral", "families", "--p", "3", "--B", "2")
     assert picked.returncode == 0
     assert picked.stdout == "1 families mod 3\n  {1} {2} {1,2}\n"
+    listed = run_cli("dihedral", "families", "--p", "5", "--B", "1,2")
+    braced = run_cli("dihedral", "families", "--p", "5", "--B", "{1,2}")
+    assert listed.returncode == 0
+    assert braced.returncode == 0
+    assert braced.stdout == listed.stdout
 
 
 def test_dihedral_families_csv():

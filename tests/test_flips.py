@@ -38,6 +38,12 @@ def test_flip_set_basics():
     assert FlipSet.parse(5, "") == FlipSet(5, ())
     assert FlipSet.parse(5, "{}").members == ()
     assert FlipSet(5, ()).format() == "{}"
+    assert FlipSet.parse(5, " { 1, 3 } ") == B
+
+
+def test_flip_set_parse_reads_format():
+    for B in flip_sets(7):
+        assert FlipSet.parse(7, B.format()) == B
 
 
 def test_flip_set_errors():

@@ -1,5 +1,8 @@
 """Tests for group construction, subgroups, cosets, and the table format."""
 
+import random
+import time
+
 import pytest
 
 from nrtloops import groups
@@ -11,7 +14,6 @@ from nrtloops.groups import (
     build_named_group,
     core,
     cyclic_group,
-    derived_subgroup,
     dihedral_group,
     dumps_cayley,
     element_index,
@@ -195,6 +197,86 @@ def test_subgroup_and_generated():
         generated_subgroup(G, [-1])
 
 
+def two_sided_closure(G, gens):
+    """The smallest product-closed set holding 0 and gens, grown by
+    multiplying every new element by every member on both sides."""
+    members = {0, *gens}
+    queue = list(members)
+    while queue:
+        a = queue.pop()
+        for b in list(members):
+            for c in (G.mul(a, b), G.mul(b, a)):
+                if c not in members:
+                    members.add(c)
+                    queue.append(c)
+    return tuple(sorted(members))
+
+
+class _RecordingRow(tuple):
+    """A table row that notes each right factor it is indexed by in seen."""
+
+    def __new__(cls, row, seen):
+        self = super().__new__(cls, row)
+        self.seen = seen
+        return self
+
+    def __getitem__(self, b):
+        self.seen.add(b)
+        return super().__getitem__(b)
+
+
+SWEEP_GROUPS = [
+    "cyclic:1", "cyclic:6", "cyclic:12",
+    "dihedral:2", "dihedral:3", "dihedral:8", "dihedral:16",
+    "sym:1", "sym:3", "sym:4", "sym:5",
+    "alt:3", "alt:4", "alt:5",
+]
+
+
+@pytest.mark.parametrize("descriptor", SWEEP_GROUPS)
+def test_generated_subgroup_matches_the_two_sided_closure(descriptor):
+    G = build_named_group(descriptor)
+    rng = random.Random(descriptor)
+    for _ in range(25):
+        gens = [rng.randrange(G.order) for _ in range(rng.randrange(4))]
+        H = generated_subgroup(G, gens)
+        assert H.members == two_sided_closure(G, gens), gens
+        assert subgroup(G, H.members) == H
+    # the walk multiplies only by the generators
+    seen = set()
+    recording = FiniteGroup(G.order, G.table, G.names, G.kind)
+    rows = tuple(_RecordingRow(row, seen) for row in G.table)
+    object.__setattr__(recording, "table", rows)
+    gens = [rng.randrange(G.order) for _ in range(2)]
+    assert generated_subgroup(recording, gens).members == two_sided_closure(G, gens)
+    assert seen <= set(gens)
+
+
+def subgroups_one_generator_at_a_time(G):
+    """Every subgroup of G, each reached from a smaller one by closing its
+    generators together with one element outside it."""
+    found = {(0,)}
+    queue = [((0,), ())]
+    while queue:
+        members, gens = queue.pop()
+        for g in sorted(set(range(G.order)) - set(members)):
+            H = generated_subgroup(G, gens + (g,))
+            if H.members not in found:
+                found.add(H.members)
+                queue.append((H.members, gens + (g,)))
+    return found
+
+
+@pytest.mark.parametrize("descriptor, count", [("dihedral:8", 19), ("sym:4", 30)])
+def test_subgroup_counts_by_closing_one_generator_at_a_time(descriptor, count):
+    G = build_named_group(descriptor)
+    start = time.perf_counter()
+    found = subgroups_one_generator_at_a_time(G)
+    elapsed = time.perf_counter() - start
+    assert len(found) == count
+    assert elapsed < 0.1
+
+
 def test_right_cosets_sym3():
     G = symmetric_group(3)
     H = subgroup(G, [0, 1])
@@ -238,15 +320,6 @@ def test_nilpotent_solvable():
     assert not is_solvable(symmetric_group(5))
     for trivial in (cyclic_group(1), symmetric_group(1)):
         assert is_solvable(trivial)
-
-    G = symmetric_group(3)
-    D = derived_subgroup(G)
-    assert {G.name_of(m) for m in D.members} == {"I", "(1,2,3)", "(1,3,2)"}
-    A = alternating_group(4)
-    V = derived_subgroup(A)
-    assert {A.name_of(m) for m in V.members} == {
-        "I", "(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"
-    }
 
 
 def test_cayley_round_trip():
