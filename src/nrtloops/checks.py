@@ -127,128 +127,23 @@ def _jsonable(value):
 
 def default_catalog() -> tuple[CatalogEntry, ...]:
     """The built-in (group, subgroup) pairs with their expected facts."""
-    return (
-        CatalogEntry(
-            "sym3-point-swap",
-            "sym:3",
-            "(2,3)",
-            {
-                "normal": False,
-                "isotopy_classes": 2,
-                "isomorphism_classes": 3,
-                "loop_transversals": 1,
-            },
-        ),
-        CatalogEntry(
-            "alt4-double-swap",
-            "alt:4",
-            "(1,2)(3,4)",
-            {
-                "normal": False,
-                "isotopy_classes": 2,
-                "isomorphism_classes": 5,
-                "loop_transversals": 0,
-            },
-        ),
-        CatalogEntry(
-            "dihedral3-mirror",
-            "dihedral:3",
-            "x",
-            {
-                "normal": False,
-                "isotopy_classes": 2,
-                "isomorphism_classes": 3,
-                "loop_transversals": 1,
-            },
-        ),
-        CatalogEntry(
-            "dihedral4-mirror",
-            "dihedral:4",
-            "x",
-            {
-                "normal": False,
-                "isotopy_classes": 4,
-                "isomorphism_classes": 6,
-                "loop_transversals": 2,
-            },
-        ),
-        CatalogEntry(
-            "dihedral5-mirror",
-            "dihedral:5",
-            "x",
-            {
-                "normal": False,
-                "isotopy_classes": 3,
-                "isomorphism_classes": 6,
-                "loop_transversals": 1,
-            },
-        ),
-        CatalogEntry(
-            "dihedral6-mirror",
-            "dihedral:6",
-            "x",
-            {
-                "normal": False,
-                "isotopy_classes": 8,
-                "isomorphism_classes": 20,
-                "loop_transversals": 2,
-            },
-        ),
-        CatalogEntry(
-            "dihedral7-mirror",
-            "dihedral:7",
-            "x",
-            {
-                "normal": False,
-                "isotopy_classes": 5,
-                "isomorphism_classes": 14,
-                "loop_transversals": 1,
-            },
-        ),
-        CatalogEntry(
-            "dihedral3-rotations",
-            "dihedral:3",
-            "y",
-            {
-                "normal": True,
-                "isotopy_classes": 1,
-                "isomorphism_classes": 1,
-                "loop_transversals": 3,
-            },
-        ),
-        CatalogEntry(
-            "dihedral6-center",
-            "dihedral:6",
-            "y^3",
-            {
-                "normal": True,
-                "isotopy_classes": 1,
-                "isomorphism_classes": 1,
-                "loop_transversals": 32,
-            },
-        ),
-        CatalogEntry(
-            "dihedral6-klein",
-            "dihedral:6",
-            "y^3 x",
-            {
-                "normal": False,
-                "isotopy_classes": 2,
-                "isomorphism_classes": 3,
-                "loop_transversals": 4,
-            },
-        ),
-        CatalogEntry(
-            "cyclic8-even",
-            "cyclic:8",
-            "2",
-            {
-                "normal": True,
-                "isotopy_classes": 1,
-                "isomorphism_classes": 1,
-                "loop_transversals": 4,
-            },
-        ),
+    keys = ("normal", "isotopy_classes", "isomorphism_classes", "loop_transversals")
+    rows = (
+        ("sym3-point-swap", "sym:3", "(2,3)", False, 2, 3, 1),
+        ("alt4-double-swap", "alt:4", "(1,2)(3,4)", False, 2, 5, 0),
+        ("dihedral3-mirror", "dihedral:3", "x", False, 2, 3, 1),
+        ("dihedral4-mirror", "dihedral:4", "x", False, 4, 6, 2),
+        ("dihedral5-mirror", "dihedral:5", "x", False, 3, 6, 1),
+        ("dihedral6-mirror", "dihedral:6", "x", False, 8, 20, 2),
+        ("dihedral7-mirror", "dihedral:7", "x", False, 5, 14, 1),
+        ("dihedral3-rotations", "dihedral:3", "y", True, 1, 1, 3),
+        ("dihedral6-center", "dihedral:6", "y^3", True, 1, 1, 32),
+        ("dihedral6-klein", "dihedral:6", "y^3 x", False, 2, 3, 4),
+        ("cyclic8-even", "cyclic:8", "2", True, 1, 1, 4),
+    )
+    return tuple(
+        CatalogEntry(label, group, sub, dict(zip(keys, facts)))
+        for label, group, sub, *facts in rows
     )
 
 
@@ -302,13 +197,6 @@ class _EntryData:
         return self._partitions[relation]
 
 
-def _quotient_pair_data(data: _EntryData):
-    N = core(data.group, data.subgroup)
-    Q, projection = quotient(data.group, N)
-    HQ = subgroup(Q, {projection[h] for h in data.subgroup.members})
-    return N, Q, HQ
-
-
 def _is_squarefree(n: int) -> bool:
     d = 2
     while d * d <= n:
@@ -356,13 +244,19 @@ def _check_prop32(data: _EntryData):
 
 
 def _check_prop33(data: _EntryData):
-    """The isotopy class count is unchanged by factoring out the core."""
-    N, Q, HQ = _quotient_pair_data(data)
-    upstairs = len(data.partition("isotopy").classes)
-    downstairs_loops = tuple(
-        induced_right_loop(t) for t in enumerate_transversals(Q, HQ)
-    )
-    downstairs = len(classify(downstairs_loops, "isotopy").classes)
+    """The isotopy class count is unchanged by factoring out the core. When
+    the quotient induces the entry's tables, in order, the classification
+    is the entry's and is not made again."""
+    N = core(data.group, data.subgroup)
+    Q, projection = quotient(data.group, N)
+    HQ = subgroup(Q, {projection[h] for h in data.subgroup.members})
+    partition = data.partition("isotopy")
+    upstairs = len(partition.classes)
+    downstairs_loops = [induced_right_loop(t) for t in enumerate_transversals(Q, HQ)]
+    tables = [loop.table for loop in downstairs_loops]
+    if tables != [loop.table for loop in data.loops]:
+        partition = classify(downstairs_loops, "isotopy")
+    downstairs = len(partition.classes)
     details = {
         "core_order": N.order,
         "itp": upstairs,
@@ -428,31 +322,33 @@ def _check_cor38(data: _EntryData):
     return _one_class_forces_normality(data)
 
 
-def _prop39_failure(loop, group) -> dict | None:
-    """The first counterexample to prop3.9 on one loop: an autotopy whose
-    three right (or left) conditions disagree, else a bijection eta and
-    companion c, right before left, whose pseudo-automorphism identity
-    disagrees with the associated triple being an autotopy. Both read one
-    scan; it has both cases of each autotopy, since the row of alpha(0) is
-    gamma o beta^-1, so alpha(0) is left non-singular."""
-    cases = {case[:3]: case[3:] for case in pseudo_automorphism_scan(loop)}
+def _prop39_failure(group) -> dict | None:
+    """The first counterexample to prop3.9 on the loop of an autotopy group:
+    an autotopy whose three right (or left) conditions disagree, else the
+    first eta and companion c, right before left, whose pseudo-automorphism
+    identity disagrees with the triple's membership of the group. Both read
+    one scan; it has both cases of each autotopy, since the row of alpha(0)
+    is gamma o beta^-1, so alpha(0) is left non-singular."""
+    holding, mismatch = set(), None  # the cases whose identity holds
+    for eta, c, side, holds, is_autotopy in pseudo_automorphism_scan(group):
+        if holds:
+            holding.add((eta, c, side))
+        if holds != is_autotopy and mismatch is None:
+            mismatch = {"eta": eta, "companion": c, "side": side}
     for w in group.elements:
         right = (
             w.alpha[0] == 0,
             w.beta == w.gamma,
-            cases[w.alpha, w.beta[0], "right"][0],
+            (w.alpha, w.beta[0], "right") in holding,
         )
         left = (
             w.beta[0] == 0,
             w.alpha == w.gamma,
-            cases[w.beta, w.alpha[0], "left"][0],
+            (w.beta, w.alpha[0], "left") in holding,
         )
         if len(set(right)) != 1 or len(set(left)) != 1:
             return {"autotopy": repr(w), "right": right, "left": left}
-    for (eta, c, side), (holds, is_autotopy) in cases.items():
-        if holds != is_autotopy:
-            return {"eta": eta, "companion": c, "side": side}
-    return None
+    return mismatch
 
 
 def _check_prop39():
@@ -464,9 +360,8 @@ def _check_prop39():
     exactly when the associated triple is an autotopy."""
     for B in flip_sets(5):
         label = f"mod5 B={B.format()}"
-        loop = flip_loop(5, B)
-        group = autotopy_group(loop)
-        failure = _prop39_failure(loop, group)
+        group = autotopy_group(flip_loop(5, B))
+        failure = _prop39_failure(group)
         if failure is not None:
             yield label, "fail", failure
         else:
@@ -546,19 +441,25 @@ def _check_thm41(prime: _PrimeData):
         return "vacuous", {
             "note": f"direct classification capped at p={FLIP_CLASS_PRIME_CAP}"
         }
-    class_of = {B: members for members in classes for B in members}
-    subsets = sorted(class_of, key=lambda B: B.mask)
-    families = {B: affine_family(p, B) for B in subsets}
+    # flip sets are compared by their masks
+    flip_set = {B.mask: B for members in classes for B in members}
+    mask_classes = [frozenset(B.mask for B in members) for members in classes]
+    class_of = {B: members for members in mask_classes for B in members}
+    subsets = sorted(flip_set)
+    families = {
+        B: frozenset(C.mask for C in affine_family(p, flip_set[B])) for B in subsets
+    }
     for B in subsets:
-        for C in sorted(families[B], key=lambda C: C.mask):
+        for C in sorted(families[B]):
             if B not in families[C]:
-                return "fail", {"asymmetric": [B.format(), C.format()]}
+                pair = [flip_set[B].format(), flip_set[C].format()]
+                return "fail", {"asymmetric": pair}
     for B in subsets:
         if class_of[B] != families[B]:
-            C = min(class_of[B] ^ families[B], key=lambda C: C.mask)
+            C = min(class_of[B] ^ families[B])
             return "fail", {
-                "B": B.format(),
-                "C": C.format(),
+                "B": flip_set[B].format(),
+                "C": flip_set[C].format(),
                 "family_predicts": C in families[B],
                 "isotopic": C in class_of[B],
             }

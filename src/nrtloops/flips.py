@@ -195,13 +195,14 @@ def affine_family(p: int, B) -> frozenset[FlipSet]:
     CapExceededError above p = AFFINE_PRIME_CAP, as affine_maps does."""
     maps = affine_maps(p)
     members = _as_flip_set(p, B).members
-    family = set()
+    full = (1 << p) - 1
+    masks = set()
     for f in maps:
-        image = {f[b] for b in members}
-        if 0 in image:
-            image = set(range(p)) - image
-        family.add(FlipSet(p, tuple(image)))
-    return frozenset(family)
+        image = 0
+        for b in members:
+            image |= 1 << f[b]
+        masks.add(full ^ image if image & 1 else image)
+    return frozenset(FlipSet.from_mask(p, mask) for mask in masks)
 
 
 def affine_families(

@@ -65,8 +65,8 @@ def _check_table(order: int, table, full: bool) -> None:
             raise GroupError(f"row {a} has {len(row)} entries, expected {order}")
         if set(row) != everything:
             raise GroupError(f"row {a} is not a permutation of 0..{order - 1}")
-    for b in range(order):
-        if {table[a][b] for a in range(order)} != everything:
+    for b, column in enumerate(zip(*table)):
+        if set(column) != everything:
             raise GroupError(f"column {b} is not a permutation of 0..{order - 1}")
     for a in range(order):
         if table[0][a] != a or table[a][0] != a:
@@ -350,11 +350,26 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 
 def _perm_group(perms: list[tuple[int, ...]], kind: str) -> FiniteGroup:
+    """The group of a set of permutations closed under composition, in
+    sorted order. Row p lists the indices of p o q over q, and row(p o g)
+    is row(p) read through row(g), so the rows are built by a walk from the
+    identity under generators picked greedily from the sorted permutations."""
     perms = sorted(perms)
     index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[compose(p, q)] for q in perms) for p in perms
-    )
+    rows = {0: tuple(range(len(perms)))}
+    generator_rows = {}
+    for g, perm in enumerate(perms):
+        if g in rows:
+            continue
+        generator_rows[g] = tuple(index[compose(perm, q)] for q in perms)
+        queue = list(rows)
+        while queue:
+            row = rows[queue.pop()]
+            for h, h_row in generator_rows.items():
+                if row[h] not in rows:
+                    rows[row[h]] = tuple(map(row.__getitem__, h_row))
+                    queue.append(row[h])
+    table = tuple(rows[i] for i in range(len(perms)))
     names = tuple(format_cycles(p) for p in perms)
     return FiniteGroup(len(perms), table, names, kind)
 

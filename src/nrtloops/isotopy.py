@@ -36,7 +36,7 @@ class NotLeftNonsingularError(ValueError):
     """The requested construction needs a bijective row at this element."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsotopyWitness:
     """A verified triple of bijections alpha, beta, gamma on positions."""
 
@@ -454,11 +454,9 @@ def _check_closed(found, witnesses, n: int) -> None:
 
 
 def _pseudo_automorphism_identity(t, eta, c, side: str) -> bool:
-    """Whether eta fixes 0 and, on the right, eta(x*y) * c = eta(x) *
-    (eta(y) * c), or on the left, c * eta(x*y) = (c * eta(x)) * eta(y),
-    for all x, y of the table t."""
-    if eta[0] != 0:
-        return False
+    """Whether, on the right, eta(x*y) * c = eta(x) * (eta(y) * c), or on
+    the left, c * eta(x*y) = (c * eta(x)) * eta(y), for all x, y of the
+    table t."""
     n = len(t)
     if side == "right":
         return all(
@@ -472,34 +470,41 @@ def _pseudo_automorphism_identity(t, eta, c, side: str) -> bool:
     )
 
 
-def _pseudo_autotopy(t, eta, c, side: str):
+def _pseudo_autotopy(loop: RightLoop, eta, c, side: str):
     """The triple attached to eta and c: on the right (eta, R(c) o eta,
     R(c) o eta); on the left (L(c) o eta, eta, L(c) o eta)."""
     if side == "right":
-        shifted = tuple(t[y][c] for y in eta)
+        shifted = tuple(map(loop.columns[c].__getitem__, eta))
         return eta, shifted, shifted
-    row = t[c]
-    shifted = tuple(row[y] for y in eta)
+    shifted = tuple(map(loop.table[c].__getitem__, eta))
     return shifted, eta, shifted
 
 
-def pseudo_automorphism_scan(loop: RightLoop):
-    """Yield (eta, c, side, holds, is_autotopy) for every bijection eta, in
-    permutation order, and each companion c, on the right and then, when c
-    is left non-singular, on the left. holds is whether eta fixes 0 and
-    eta(x*y) * c = eta(x) * (eta(y) * c) on the right, or c * eta(x*y) =
-    (c * eta(x)) * eta(y) on the left; is_autotopy is whether (eta, R(c) o
-    eta, R(c) o eta), or (L(c) o eta, eta, L(c) o eta), is an autotopy.
-    Columns and left non-singular rows are bijective, so each triple is,
-    and no witness is built or validated per case."""
-    n = loop.order
-    t = loop.table
+def pseudo_automorphism_scan(group: AutotopyGroup):
+    """Yield (eta, c, side, holds, is_autotopy) for every bijection eta on
+    the loop of group, in permutation order, and each companion c, on the
+    right and then, when c is left non-singular, on the left. holds is
+    whether eta fixes 0 and eta(x*y) * c = eta(x) * (eta(y) * c) on the
+    right, or c * eta(x*y) = (c * eta(x)) * eta(y) on the left. is_autotopy
+    is whether (eta, R(c) o eta, R(c) o eta), or (L(c) o eta, eta, L(c) o
+    eta), is a member of group, so the scan inherits AUTOTOPY_ORDER_CAP.
+    A triple is built only when eta is the alpha of a member with beta =
+    gamma (right) or the beta of one with alpha = gamma (left); no other
+    triple can be a member."""
+    loop = group.loop
+    n, t = loop.order, loop.table
+    members = {(w.alpha, w.beta, w.gamma) for w in group.elements}
+    right_alphas = {w.alpha for w in group.elements if w.beta == w.gamma}
+    left_betas = {w.beta for w in group.elements if w.alpha == w.gamma}
     lns = set(left_nonsingular_elements(loop))
     sides = [("right", "left") if c in lns else ("right",) for c in range(n)]
     for eta in itertools.permutations(range(n)):
+        fixes = eta[0] == 0
+        candidate = {"right": eta in right_alphas, "left": eta in left_betas}
         for c in range(n):
             for side in sides[c]:
-                holds = _pseudo_automorphism_identity(t, eta, c, side)
-                a, b, g = _pseudo_autotopy(t, eta, c, side)
-                is_autotopy = _isotopy_identity(t, t, a, b, g)
+                holds = fixes and _pseudo_automorphism_identity(t, eta, c, side)
+                is_autotopy = candidate[side] and (
+                    _pseudo_autotopy(loop, eta, c, side) in members
+                )
                 yield eta, c, side, holds, is_autotopy

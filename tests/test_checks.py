@@ -19,8 +19,14 @@ from nrtloops.checks import (
     suite_passed,
 )
 from nrtloops.flips import FlipSet, affine_family, flip_loop
-from nrtloops.groups import build_named_group, parse_subgroup, subgroup
-from nrtloops.isotopy import IsotopyWitness, are_isotopic, isomorphisms
+from nrtloops.groups import build_named_group, core, parse_subgroup, quotient, subgroup
+from nrtloops.isotopy import (
+    AutotopyGroup,
+    IsotopyWitness,
+    are_isotopic,
+    classify,
+    isomorphisms,
+)
 from nrtloops.transversals import enumerate_transversals, induced_right_loop
 
 EXPECTED_LABELS = [
@@ -391,6 +397,42 @@ def test_prop33_fails_when_the_core_is_the_whole_group(monkeypatch):
     ]
 
 
+def test_prop33_reuses_an_identical_classification(monkeypatch):
+    """Where the quotient induces the entry's tables, in order, prop3.3
+    reads the entry's classification: 15 classify calls instead of 22, the
+    4 entries with a non-trivial core still classifying downstairs, and the
+    reports of the check classifying both sides every time."""
+    expected = []
+    for entry in default_catalog():
+        G = build_named_group(entry.group)
+        H = parse_subgroup(G, entry.subgroup)
+        N = core(G, H)
+        Q, projection = quotient(G, N)
+        HQ = subgroup(Q, {projection[h] for h in H.members})
+        counts = [
+            len(classify(map(induced_right_loop, enumerate_transversals(K, L))).classes)
+            for K, L in ((G, H), (Q, HQ))
+        ]
+        expected.append(
+            CheckReport(
+                "prop3.3",
+                entry.label,
+                "pass" if counts[0] == counts[1] else "fail",
+                {"core_order": N.order, "itp": counts[0], "itp_quotient": counts[1]},
+            )
+        )
+    calls = []
+
+    def counted(loops, relation):
+        calls.append(relation)
+        return classify(loops, relation)
+
+    monkeypatch.setattr("nrtloops.checks.classify", counted)
+    assert run_suite(check_ids=["prop3.3"]) == expected
+    assert calls == ["isotopy"] * 15
+    assert sum(r.details_dict()["core_order"] == 1 for r in expected) == 7
+
+
 def test_one_class_checks_fail_on_a_non_normal_subgroup(monkeypatch):
     _one_isotopy_class(monkeypatch)
     failed = {"itp": 1, "normal": False}
@@ -418,8 +460,8 @@ def test_thm42_fails_when_the_formula_disagrees(monkeypatch):
 def test_prop39_reports_a_failing_autotopy_before_any_eta(monkeypatch):
     real = checks.pseudo_automorphism_scan
 
-    def scan(loop):
-        for eta, c, side, _, is_autotopy in real(loop):
+    def scan(group):
+        for eta, c, side, _, is_autotopy in real(group):
             yield eta, c, side, False, is_autotopy
 
     monkeypatch.setattr("nrtloops.checks.pseudo_automorphism_scan", scan)
@@ -439,13 +481,42 @@ def test_prop39_reports_a_failing_autotopy_before_any_eta(monkeypatch):
     )
 
 
+def test_prop39_fails_when_the_group_misses_an_autotopy(monkeypatch):
+    """The scan reads autotopy membership from the group: drop from each
+    loop's group its first non-identity autotopy with alpha fixing 0, and
+    that triple's eta, a pseudo-automorphism, is reported at its companion
+    beta(0) on the right."""
+    real = checks.autotopy_group
+    dropped = []
+
+    def autotopy_group(loop):
+        group = real(loop)
+        w = next(w for w in group.elements[1:] if w.alpha[0] == 0)
+        dropped.append(w)
+        return AutotopyGroup(loop, tuple(v for v in group.elements if v != w))
+
+    monkeypatch.setattr("nrtloops.checks.autotopy_group", autotopy_group)
+    reports = run_suite(check_ids=["prop3.9"])
+    assert len(reports) == len(dropped) == 16
+    for report, w in zip(reports, dropped):
+        assert report.verdict == "fail"
+        assert report.details_dict() == {
+            "companion": w.beta[0],
+            "eta": w.alpha,
+            "side": "right",
+        }
+    # on the group Z5 the dropped autotopy is (id, R(1), R(1))
+    assert reports[0].details_dict()["eta"] == (0, 1, 2, 3, 4)
+    assert reports[0].details_dict()["companion"] == 1
+
+
 def _misreported_triples(monkeypatch, wrong):
     """Make the scan report the triples for which wrong(eta, c, side) holds
     as autotopies exactly when the real ones are not."""
     real = checks.pseudo_automorphism_scan
 
-    def scan(loop):
-        for eta, c, side, holds, is_autotopy in real(loop):
+    def scan(group):
+        for eta, c, side, holds, is_autotopy in real(group):
             if wrong(eta, c, side):
                 is_autotopy = not is_autotopy
             yield eta, c, side, holds, is_autotopy

@@ -174,6 +174,25 @@ def test_affine_family_membership_is_symmetric():
                 assert len(member) in (len(B), p - len(B))
 
 
+def _set_based_family(p, B):
+    """The family as defined: over every affine map f, f(B), replaced by
+    its complement when it holds 0, built as sets."""
+    family = set()
+    for mu in range(1, p):
+        for t in range(p):
+            image = {(mu * b + t) % p for b in B}
+            if 0 in image:
+                image = set(range(p)) - image
+            family.add(FlipSet(p, tuple(image)))
+    return frozenset(family)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_affine_family_matches_the_set_based_family(p):
+    for B in flip_sets(p):
+        assert affine_family(p, B) == _set_based_family(p, B), B
+
+
 def test_affine_family_requires_an_odd_prime():
     with pytest.raises(ValueError, match="odd prime"):
         affine_family(9, (1,))

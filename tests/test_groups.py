@@ -1,5 +1,6 @@
 """Tests for group construction, subgroups, cosets, and the table format."""
 
+import itertools
 import random
 import time
 
@@ -29,7 +30,7 @@ from nrtloops.groups import (
     subgroup,
     symmetric_group,
 )
-from nrtloops.perms import CapExceededError
+from nrtloops.perms import CapExceededError, format_cycles, perm_parity
 
 
 def steiner_loop_table():
@@ -128,6 +129,29 @@ def test_named_constructors_check_the_order_cap(monkeypatch):
         with pytest.raises(CapExceededError, match=f"order of {descriptor} exceeds"):
             build(arg)
     assert dihedral_group(50).order == 100
+
+
+def _pairwise_table(perms):
+    """The table of every ordered pair of sorted permutations, p o q at
+    (p, q), q acting first."""
+    perms = sorted(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    return tuple(tuple(index[tuple(p[x] for x in q)] for q in perms) for p in perms)
+
+
+@pytest.mark.parametrize(
+    "kind, k",
+    [("symmetric", k) for k in range(1, 7)] + [("alternating", k) for k in (3, 4, 5)],
+)
+def test_permutation_tables_match_the_pairwise_construction(kind, k):
+    # built through _perm_group, not the cached constructors, whose sym:6
+    # and alt:6 no other test may build
+    perms = list(itertools.permutations(range(k)))
+    if kind == "alternating":
+        perms = [p for p in perms if perm_parity(p) == 0]
+    G = groups._perm_group(perms, kind)
+    assert G.table == _pairwise_table(perms)
+    assert G.names == tuple(format_cycles(p) for p in sorted(perms))
 
 
 def test_alternating_group():

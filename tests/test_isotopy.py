@@ -685,7 +685,10 @@ def test_pseudo_automorphism_check():
     companion on both sides, not the inversion of T3 at companion 0, never
     an eta that moves 0, and no left case at a left singular companion."""
     z3 = validate_right_loop(cyclic_group(3).table)
-    holds = {(e, c, s): h for e, c, s, h, _ in pseudo_automorphism_scan(z3)}
+    holds = {
+        (e, c, s): h
+        for e, c, s, h, _ in pseudo_automorphism_scan(autotopy_group(z3))
+    }
     inversion = (0, 2, 1)
     for c in range(3):
         assert holds[inversion, c, "right"]
@@ -694,7 +697,10 @@ def test_pseudo_automorphism_check():
     assert not holds[(1, 0, 2), 0, "right"]
     assert not any(h for (eta, _, _), h in holds.items() if eta[0] != 0)
     L3 = validate_right_loop(T3)
-    holds = {(e, c, s): h for e, c, s, h, _ in pseudo_automorphism_scan(L3)}
+    holds = {
+        (e, c, s): h
+        for e, c, s, h, _ in pseudo_automorphism_scan(autotopy_group(L3))
+    }
     assert not holds[inversion, 0, "right"]
     assert (inversion, 0, "left") in holds
     assert (inversion, 1, "left") not in holds
@@ -705,7 +711,11 @@ def test_pseudo_autotopy_triple_matches_the_check():
     """On Z5, for every eta fixing 0, each companion and both sides, the
     triple is an autotopy exactly when eta is a pseudo-automorphism."""
     z5 = validate_right_loop(cyclic_group(5).table)
-    cases = [case for case in pseudo_automorphism_scan(z5) if case[0][0] == 0]
+    cases = [
+        case
+        for case in pseudo_automorphism_scan(autotopy_group(z5))
+        if case[0][0] == 0
+    ]
     assert len(cases) == math.factorial(4) * 5 * 2
     for eta, c, side, holds, is_autotopy in cases:
         triple = _pseudo_autotopy_triple(z5.table, eta, c, side)
@@ -736,7 +746,7 @@ def test_pseudo_automorphism_scan_matches_the_public_functions():
             for c in range(n)
             for side in (("right", "left") if len(set(t[c])) == n else ("right",))
         ]
-        assert list(pseudo_automorphism_scan(loop)) == expected
+        assert list(pseudo_automorphism_scan(autotopy_group(loop))) == expected
         seen |= {(side, holds) for _, _, side, holds, _ in expected}
     # the identity holds in some cases and fails in others, on both sides
     assert seen == {(s, h) for s in ("right", "left") for h in (False, True)}
@@ -746,7 +756,7 @@ def test_pseudo_automorphism_scan_matches_the_public_functions():
 def test_pseudo_automorphisms_of_a_group_are_its_automorphisms(descriptor):
     t = build_named_group(descriptor).table
     n = len(t)
-    cases = list(pseudo_automorphism_scan(validate_right_loop(t)))
+    cases = list(pseudo_automorphism_scan(autotopy_group(validate_right_loop(t))))
     assert len(cases) == math.factorial(n) * n * 2
     for eta, c, side, holds, _ in cases:
         automorphism = all(
