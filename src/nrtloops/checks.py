@@ -5,9 +5,9 @@ Each check id names one verifiable statement. A check returns its verdict
 with details, and run_suite labels each result with its catalog entry or
 prime and builds the report. Implication-shaped statements are checked as
 implications: when the hypothesis fails on an entry the report says
-"vacuous" rather than silently passing, except where a contrapositive
-reading still gives the entry real content (see check "prop3.7"). Failing
-reports always carry a concrete counterexample.
+"vacuous" rather than silently passing. An equivalence is checked both
+ways (see check "prop3.7"). Failing reports always carry a concrete
+counterexample.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .burnside import dihedral_isotopy_count, subset_orbit_count
-from .flips import FlipSet, affine_families, affine_family, flip_loop, flip_sets
+from .flips import affine_families, affine_family, flip_loop, flip_sets
 from .groups import (
     build_named_group,
     core,
@@ -221,24 +221,31 @@ def _check_facts(data: _EntryData):
     return "pass", computed
 
 
+def _named_pair(data: _EntryData, first: int, second: int) -> dict:
+    """Failure details naming two of an entry's transversals."""
+    labels = data.transversals
+    return {"first": labels[first].label(), "second": labels[second].label()}
+
+
 def _check_prop32(data: _EntryData):
     """Isotopic right loops have equally many left non-singular elements:
-    the first members of isotopy classes with different counts are not
-    isotopic."""
-    partition = data.partition("isotopy")
-    firsts = [data.loops[members[0]] for members in partition.classes]
+    every member of an isotopy class has its first member's count, and the
+    first members of classes with different counts are not isotopic."""
+    classes = data.partition("isotopy").classes
+    firsts = [data.loops[members[0]] for members in classes]
     counts = [len(left_nonsingular_elements(loop)) for loop in firsts]
+    for members, count in zip(classes, counts):
+        for m in members[1:]:
+            if len(left_nonsingular_elements(data.loops[m])) != count:
+                return "fail", _named_pair(data, members[0], m)
     for i, j in itertools.combinations(range(len(firsts)), 2):
         if counts[i] == counts[j]:
             continue
         if are_isotopic(firsts[i], firsts[j]) is not None:
-            return "fail", {
-                "first": data.transversals[partition.classes[i][0]].label(),
-                "second": data.transversals[partition.classes[j][0]].label(),
-            }
+            return "fail", _named_pair(data, classes[i][0], classes[j][0])
     profiles = [
         {"size": len(members), "lns": count, "loop": count == loop.order}
-        for members, count, loop in zip(partition.classes, counts, firsts)
+        for members, count, loop in zip(classes, counts, firsts)
     ]
     return "pass", {"classes": profiles}
 
@@ -284,14 +291,15 @@ def _check_prop35(data: _EntryData):
 
 
 def _check_prop37(data: _EntryData):
-    """For a nilpotent group, a single isotopy class forces normality;
-    checked through the contrapositive on non-normal entries."""
+    """For a nilpotent group, the subgroup is normal exactly when there is a
+    single isotopy class. A pass reads "direct" on one class and
+    "contrapositive" on several."""
     if not is_nilpotent(data.group):
         return None
     normal = is_normal(data.group, data.subgroup)
     itp = len(data.partition("isotopy").classes)
     details = {"normal": normal, "itp": itp}
-    if itp == 1 and not normal:
+    if (itp == 1) != normal:
         return "fail", details
     details["reading"] = "direct" if itp == 1 else "contrapositive"
     return "pass", details
@@ -400,51 +408,72 @@ def _check_thm312(data: _EntryData):
         iso = data.partition("iso")
         for b in transitive[1:]:
             if iso.class_of(b) != iso.class_of(transitive[0]):
-                return "fail", {
-                    "first": data.transversals[transitive[0]].label(),
-                    "second": data.transversals[b].label(),
-                }
+                return "fail", _named_pair(data, transitive[0], b)
     if pairs == 0:
         return "vacuous", {"transitive_members": transitive_total}
     return "pass", {"pairs": pairs, "transitive_members": transitive_total}
 
 
-def flip_classes(p: int) -> list[frozenset[FlipSet]] | None:
-    """The isotopy classes of the 2^(p-1) mod-p flip loops, each as the set
-    of its flip sets, or None when p exceeds FLIP_CLASS_PRIME_CAP."""
-    if p > FLIP_CLASS_PRIME_CAP:
-        return None
-    subsets = list(flip_sets(p))
-    partition = classify((flip_loop(p, B) for B in subsets), "isotopy")
-    return [frozenset(subsets[m] for m in members) for members in partition.classes]
-
-
-class _PrimeData:
-    """Lazily computed artifacts for one prime modulus, shared by the checks
-    of one run_suite call."""
+class FlipClassCounts:
+    """The mod-p flip loops' isotopy classes and their count found three
+    ways: the cycle-index formula, the Burnside count of orbits on subsets
+    (which counts each class twice, once with its complement), and for p up
+    to FLIP_CLASS_PRIME_CAP direct classification (None above that). Each
+    is computed when first read, so the checks of one run_suite call share
+    one classification per prime."""
 
     def __init__(self, p: int):
         self.p = p
 
     @cached_property
-    def classes(self):
-        return flip_classes(self.p)
+    def classes(self) -> list[frozenset[int]] | None:
+        """The isotopy classes of the 2^(p-1) flip loops, each as the set of
+        its flip-set masks, or None when p exceeds FLIP_CLASS_PRIME_CAP."""
+        if self.p > FLIP_CLASS_PRIME_CAP:
+            return None
+        subsets = list(flip_sets(self.p))
+        loops = (flip_loop(self.p, B) for B in subsets)
+        classes = classify(loops, "isotopy").classes
+        return [frozenset(subsets[m].mask for m in members) for members in classes]
+
+    @cached_property
+    def orbit_count(self) -> int:
+        return subset_orbit_count(self.p)
+
+    @cached_property
+    def formula(self) -> int:
+        return dihedral_isotopy_count(self.p)
+
+    @property
+    def direct(self) -> int | None:
+        return None if self.classes is None else len(self.classes)
+
+    @property
+    def agree(self) -> bool:
+        # the orbit count hits the affine-map cap before the formula builds 2^p
+        halved = self.orbit_count == 2 * self.formula
+        return halved and self.direct in (None, self.formula)
+
+    def __repr__(self):
+        return (
+            f"FlipClassCounts(p={self.p}, formula={self.formula}, "
+            f"orbit_count={self.orbit_count}, direct={self.direct})"
+        )
 
 
-def _check_thm41(prime: _PrimeData):
+def _check_thm41(counts: FlipClassCounts):
     """For an odd prime modulus, two flip loops are isotopic exactly when
     each flip set lies in the other's affine family: the families are
     symmetric and equal the isotopy classes."""
-    p = prime.p
-    classes = prime.classes
+    p = counts.p
+    classes = counts.classes
     if classes is None:
         return "vacuous", {
             "note": f"direct classification capped at p={FLIP_CLASS_PRIME_CAP}"
         }
     # flip sets are compared by their masks
-    flip_set = {B.mask: B for members in classes for B in members}
-    mask_classes = [frozenset(B.mask for B in members) for members in classes]
-    class_of = {B: members for members in mask_classes for B in members}
+    flip_set = {B.mask: B for B in flip_sets(p)}
+    class_of = {B: members for members in classes for B in members}
     subsets = sorted(flip_set)
     families = {
         B: frozenset(C.mask for C in affine_family(p, flip_set[B])) for B in subsets
@@ -466,51 +495,18 @@ def _check_thm41(prime: _PrimeData):
     return "pass", {"subsets": len(subsets)}
 
 
-@dataclass(frozen=True)
-class FlipClassCounts:
-    """The isotopy class count of the mod-p flip loops found three ways:
-    the cycle-index formula, the Burnside count of orbits on subsets (which
-    counts each class twice, once with its complement), and for p up to
-    FLIP_CLASS_PRIME_CAP direct classification (None above that)."""
-
-    p: int
-    formula: int
-    orbit_count: int
-    direct: int | None
-
-    @property
-    def agree(self) -> bool:
-        direct_ok = self.direct is None or self.direct == self.formula
-        return direct_ok and self.orbit_count == 2 * self.formula
-
-
-def flip_class_counts(p: int) -> FlipClassCounts:
-    return _flip_class_counts(_PrimeData(p))
-
-
-def _flip_class_counts(prime: _PrimeData) -> FlipClassCounts:
-    p = prime.p
-    # the orbit count hits the affine-map cap before the formula builds 2^p
-    orbit_count = subset_orbit_count(p)
-    classes = prime.classes
-    direct = None if classes is None else len(classes)
-    return FlipClassCounts(p, dihedral_isotopy_count(p), orbit_count, direct)
-
-
-def _check_thm42(prime: _PrimeData):
+def _check_thm42(counts: FlipClassCounts):
     """The isotopy class count of mod-p flip loops from the cycle-index
     formula agrees with the Burnside orbit count, the family census, and
     (for p up to FLIP_CLASS_PRIME_CAP) direct classification."""
-    counts = _flip_class_counts(prime)
-    families = len(affine_families(prime.p))
     details = {
-        "formula": counts.formula,
         "orbit_count": counts.orbit_count,
-        "families": families,
+        "formula": counts.formula,
+        "families": len(affine_families(counts.p)),
     }
     if counts.direct is not None:
         details["direct"] = counts.direct
-    agree = counts.agree and families == counts.formula
+    agree = counts.agree and details["families"] == counts.formula
     return ("pass" if agree else "fail"), details
 
 
@@ -571,7 +567,7 @@ def run_suite(catalog=None, check_ids=None, ps=DEFAULT_PRIMES) -> list[CheckRepo
             raise ValueError(f"unknown check ids: {', '.join(unknown)}")
         requested = [c for c in CHECK_IDS if c in requested]
     data = [_EntryData(entry) for entry in catalog]
-    primes = [_PrimeData(p) for p in ps]
+    primes = [FlipClassCounts(p) for p in ps]
     return [
         CheckReport(check_id, label, verdict, details)
         for check_id in requested

@@ -22,8 +22,8 @@ from .burnside import (
 )
 from .checks import (
     DEFAULT_PRIMES,
+    FlipClassCounts,
     default_catalog,
-    flip_class_counts,
     load_catalog,
     run_suite,
     suite_passed,
@@ -330,7 +330,7 @@ def cmd_dihedral(args) -> int:
                 lines.append("  " + " ".join(s.format() for s in fam))
             _emit(args, "\n".join(lines))
         return EXIT_OK
-    counts = flip_class_counts(p)
+    counts = FlipClassCounts(p)
     if not counts.agree:
         _emit(args, f"mismatch: {counts}")
         return EXIT_CHECK_FAILED

@@ -12,8 +12,8 @@ from nrtloops.checks import (
     CHECK_IDS,
     CatalogEntry,
     CheckReport,
+    FlipClassCounts,
     default_catalog,
-    flip_class_counts,
     load_catalog,
     run_suite,
     suite_passed,
@@ -266,13 +266,13 @@ def test_thm41_reports_an_asymmetric_family(monkeypatch):
 
 def test_flip_class_cap_is_one_constant(monkeypatch):
     assert checks.FLIP_CLASS_PRIME_CAP == 7
-    assert flip_class_counts(7).direct == 5
+    assert FlipClassCounts(7).direct == 5
     monkeypatch.setattr("nrtloops.checks.FLIP_CLASS_PRIME_CAP", 5)
     (report,) = run_suite(check_ids=["thm4.1"], ps=(7,))
     assert report.verdict == "vacuous"
     assert report.details_dict() == {"note": "direct classification capped at p=5"}
-    assert flip_class_counts(7).direct is None
-    assert flip_class_counts(5).direct == 3
+    assert FlipClassCounts(7).direct is None
+    assert FlipClassCounts(5).direct == 3
 
 
 def test_thm312_fails_when_transitive_members_are_not_isomorphic(monkeypatch):
@@ -443,6 +443,57 @@ def test_one_class_checks_fail_on_a_non_normal_subgroup(monkeypatch):
         CheckReport("prop3.8", "sym3-point-swap", "fail", failed),
         CheckReport("cor3.8", "sym3-point-swap", "fail", failed),
     ]
+
+
+
+def test_prop37_fails_when_a_normal_subgroup_has_several_classes(monkeypatch):
+    original = checks._EntryData.partition
+
+    def split(self, relation):
+        partition = original(self, relation)
+        if relation != "isotopy":
+            return partition
+        return dataclasses.replace(
+            partition,
+            classes=tuple((m,) for m in range(len(self.loops))),
+            representatives=self.loops,
+        )
+
+    monkeypatch.setattr(checks._EntryData, "partition", split)
+    reports = run_suite(_catalog("cyclic8-even"), ["facts", "prop3.7"])
+    assert [(r.check_id, r.verdict) for r in reports] == [
+        ("facts", "fail"),
+        ("prop3.7", "fail"),
+    ]
+    assert reports[1].details_dict() == {"itp": 4, "normal": True}
+
+
+def test_prop32_fails_on_a_class_member_with_another_count(monkeypatch):
+    # the merged sym:3 class has members with 1, 1, 3 and 1 left
+    # non-singular elements; the third is named against the first
+    _one_isotopy_class(monkeypatch)
+    assert run_suite(_catalog("sym3-point-swap"), ["prop3.2"]) == [
+        CheckReport(
+            "prop3.2",
+            "sym3-point-swap",
+            "fail",
+            {"first": "I,(1,2),(1,2,3)", "second": "I,(1,3,2),(1,2,3)"},
+        )
+    ]
+
+
+def test_flip_checks_classify_once_per_prime(monkeypatch):
+    calls = []
+
+    def counted(loops, relation):
+        calls.append(relation)
+        return classify(loops, relation)
+
+    monkeypatch.setattr("nrtloops.checks.classify", counted)
+    reports = run_suite(check_ids=["thm4.1", "thm4.2"])
+    assert [r.verdict for r in reports] == ["pass"] * 6
+    # one classification for each of the three default primes
+    assert calls == ["isotopy"] * 3
 
 
 def test_thm42_fails_when_the_formula_disagrees(monkeypatch):

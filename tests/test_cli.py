@@ -457,6 +457,26 @@ def test_dihedral_count_checks_the_cap_before_the_formula(monkeypatch, capsys):
         assert capsys.readouterr() == ("", "error: affine_maps is capped at p = 31\n")
 
 
+
+def test_dihedral_count_above_the_class_cap_reads_no_classes(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("classes or families were read")
+
+    monkeypatch.setattr("nrtloops.checks.classify", refuse)
+    monkeypatch.setattr("nrtloops.checks.affine_families", refuse)
+    assert cli.main(["dihedral", "count", "--p", "31"]) == 0
+    assert capsys.readouterr() == ("1155735 = 1155735\n", "")
+
+
+def test_dihedral_count_reports_a_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr("nrtloops.checks.dihedral_isotopy_count", lambda p: 4)
+    assert cli.main(["dihedral", "count", "--p", "5"]) == 1
+    assert capsys.readouterr() == (
+        "mismatch: FlipClassCounts(p=5, formula=4, orbit_count=6, direct=3)\n",
+        "",
+    )
+
+
 def test_dihedral_census_text():
     result = run_cli("dihedral", "census", "--n", "4")
     assert result.returncode == 0
