@@ -149,12 +149,13 @@ def default_catalog() -> tuple[CatalogEntry, ...]:
 
 def load_catalog(path) -> tuple[CatalogEntry, ...]:
     """Read a catalog from a JSON file: a list of {label, group, subgroup,
-    facts?} objects."""
+    facts?} objects with distinct labels, which name their reports."""
     with open(path, encoding="utf-8") as handle:
         raw = json.load(handle)
     if not isinstance(raw, list):
         raise ValueError("catalog file must hold a JSON list")
     entries = []
+    labels = set()
     for index, item in enumerate(raw):
         if not isinstance(item, dict):
             raise ValueError(f"catalog entry {index} is not an object")
@@ -165,6 +166,11 @@ def load_catalog(path) -> tuple[CatalogEntry, ...]:
                 raise ValueError(
                     f"catalog entry {index} has a {key!r} that is not a string"
                 )
+        if item["label"] in labels:
+            raise ValueError(
+                f"catalog entry {index} repeats the label {item['label']!r}"
+            )
+        labels.add(item["label"])
         facts = item.get("facts", {})
         if not isinstance(facts, dict):
             raise ValueError(f"catalog entry {index} has facts that are not an object")
@@ -230,7 +236,9 @@ def _named_pair(data: _EntryData, first: int, second: int) -> dict:
 def _check_prop32(data: _EntryData):
     """Isotopic right loops have equally many left non-singular elements:
     every member of an isotopy class has its first member's count, and the
-    first members of classes with different counts are not isotopic."""
+    first members of classes with different counts are not isotopic.
+    Isotopy is symmetric, so each pair is searched from the loop with the
+    lower count, which has fewer principal isotopes."""
     classes = data.partition("isotopy").classes
     firsts = [data.loops[members[0]] for members in classes]
     counts = [len(left_nonsingular_elements(loop)) for loop in firsts]
@@ -241,7 +249,8 @@ def _check_prop32(data: _EntryData):
     for i, j in itertools.combinations(range(len(firsts)), 2):
         if counts[i] == counts[j]:
             continue
-        if are_isotopic(firsts[i], firsts[j]) is not None:
+        low, high = sorted((i, j), key=counts.__getitem__)
+        if are_isotopic(firsts[low], firsts[high]) is not None:
             return "fail", _named_pair(data, classes[i][0], classes[j][0])
     profiles = [
         {"size": len(members), "lns": count, "loop": count == loop.order}
@@ -252,18 +261,19 @@ def _check_prop32(data: _EntryData):
 
 def _check_prop33(data: _EntryData):
     """The isotopy class count is unchanged by factoring out the core. When
-    the quotient induces the entry's tables, in order, the classification
-    is the entry's and is not made again."""
-    N = core(data.group, data.subgroup)
-    Q, projection = quotient(data.group, N)
-    HQ = subgroup(Q, {projection[h] for h in data.subgroup.members})
-    partition = data.partition("isotopy")
-    upstairs = len(partition.classes)
-    downstairs_loops = [induced_right_loop(t) for t in enumerate_transversals(Q, HQ)]
-    tables = [loop.table for loop in downstairs_loops]
-    if tables != [loop.table for loop in data.loops]:
-        partition = classify(downstairs_loops, "isotopy")
-    downstairs = len(partition.classes)
+    the quotient map is the identity onto a group with the entry's table,
+    as on a trivial core, the quotient's transversals and loops are the
+    entry's, so they are neither induced nor classified again."""
+    G = data.group
+    N = core(G, data.subgroup)
+    Q, projection = quotient(G, N)
+    upstairs = len(data.partition("isotopy").classes)
+    if projection == tuple(range(G.order)) and Q.table == G.table:
+        downstairs = upstairs
+    else:
+        HQ = subgroup(Q, {projection[h] for h in data.subgroup.members})
+        loops = (induced_right_loop(t) for t in enumerate_transversals(Q, HQ))
+        downstairs = len(classify(loops, "isotopy").classes)
     details = {
         "core_order": N.order,
         "itp": upstairs,
@@ -387,6 +397,9 @@ def _aut_transitive(loop) -> bool:
     n = loop.order
     if n <= 2:
         return True
+    # automorphisms preserve signatures, so one orbit has one signature
+    if len(set(loop.signatures[1:])) > 1:
+        return False
     # the automorphisms form a group, so the orbit of 1 is its set of images
     return len({f[1] for f in isomorphisms(loop, loop)}) == n - 1
 

@@ -27,7 +27,12 @@ from .perms import (
     is_permutation,
 )
 from .reference import ORACLE_ORDER_CAP, brute_force_isotopy_oracle  # re-exported
-from .rightloops import RightLoop, _trusted_right_loop, left_nonsingular_elements
+from .rightloops import (
+    RightLoop,
+    _cycle_lengths,
+    _trusted_right_loop,
+    left_nonsingular_elements,
+)
 
 AUTOTOPY_ORDER_CAP = 8
 
@@ -85,30 +90,6 @@ def _isotopy_identity(t1, t2, a, b, g) -> bool:
 
 # ---------------------------------------------------------------------------
 # isomorphism search
-
-
-def _signatures(loop: RightLoop):
-    """Per-element invariants preserved by any isomorphism: the row's value
-    multiplicities, the column's sorted cycle lengths, and idempotence."""
-    n = loop.order
-    sigs = []
-    for x, (row, column) in enumerate(zip(loop.table, loop.columns)):
-        seen = [False] * n
-        lengths = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            y = start
-            while not seen[y]:
-                seen[y] = True
-                y = column[y]
-                length += 1
-            lengths.append(length)
-        lengths.sort()
-        counts = tuple(sorted(map(row.count, set(row))))
-        sigs.append((counts, tuple(lengths), row[x] == x))
-    return sigs
 
 
 def _propagate(t1, t2, f, used, done, queue, sig1, sig2) -> bool:
@@ -180,12 +161,8 @@ def isomorphisms(L1: RightLoop, L2: RightLoop):
     """Yield every isomorphism f: L1 -> L2 (as an image tuple, f[0] = 0)."""
     if L2.order != L1.order:
         return
-    sig1 = _signatures(L1)
-    if L2 is L1:
-        yield from _isomorphisms(L1.table, L1.table, sig1, sig1)
-        return
-    sig2 = _signatures(L2)
-    if sorted(sig1) == sorted(sig2):
+    sig1, sig2 = L1.signatures, L2.signatures
+    if L2 is L1 or sorted(sig1) == sorted(sig2):
         yield from _isomorphisms(L1.table, L2.table, sig1, sig2)
 
 
@@ -230,26 +207,51 @@ def principal_isotope_with_relabel(
     return _trusted_right_loop(tuple(map(tuple, rows))), principal
 
 
-def _principal_isotopes(loop: RightLoop):
-    """(isotope, principal) for each left non-singular a, then each b."""
-    for a in left_nonsingular_elements(loop):
-        for b in range(loop.order):
-            yield principal_isotope_with_relabel(loop, a, b)
+def _principal_signatures(loop: RightLoop, a: int, b: int, parts: dict) -> list:
+    """The signatures of principal_isotope_with_relabel(loop, a, b)'s
+    isotope, read off loop without building it.
+
+    With s the swap of 0 and a*b, element u of the isotope is alpha(x) =
+    beta(y) for x = R(b)^-1(s(u)) and y = L(a)^-1(s(u)), and u . v =
+    s(x * L(a)^-1(s(v))). So the row of u holds s of the values of row x,
+    with the same multiplicities; the column of u is R(y) o R(b)^-1
+    conjugated by s, with the same cycle lengths; and u is idempotent
+    exactly when s(x * y) = u. parts is a dict that the caller keeps for
+    one pass over the isotopes of loop: it holds the cycle lengths of
+    R(y) o R(b)^-1 by (y, b), which every a shares."""
+    t, columns, sigs = loop.table, loop.columns, loop.signatures
+    e = t[a][b]
+    swap = list(range(loop.order))
+    swap[0], swap[e] = e, 0
+    row_inv, column_inv = invert(t[a]), invert(columns[b])
+    result = []
+    for u, su in enumerate(swap):
+        x, y = column_inv[su], row_inv[su]
+        lengths = parts.get((y, b))
+        if lengths is None:
+            column = columns[y]
+            lengths = parts[y, b] = _cycle_lengths([column[w] for w in column_inv])
+        result.append((sigs[x][0], lengths, swap[t[x][y]] == u))
+    return result
 
 
 def _isotopies(L1: RightLoop, L2: RightLoop):
     """Every isotopy from L1 onto L2, a loop of the same order, repeats
     possible: a principal isotopy of L1, then the inverse of an isomorphism
-    from L2 onto that isotope. L2's signatures are computed once."""
-    sig2 = _signatures(L2)
+    from L2 onto that isotope. Each isotope's signatures are read off L1,
+    and the isotope is built only when they sort to L2's."""
+    sig2 = L2.signatures
     key = sorted(sig2)
-    for isotope, principal in _principal_isotopes(L1):
-        sig = _signatures(isotope)
-        if sorted(sig) != key:
-            continue
-        for f in _isomorphisms(L2.table, isotope.table, sig2, sig):
-            f_inv = invert(f)
-            yield principal.then(IsotopyWitness(f_inv, f_inv, f_inv))
+    parts: dict = {}
+    for a in left_nonsingular_elements(L1):
+        for b in range(L1.order):
+            sig = _principal_signatures(L1, a, b, parts)
+            if sorted(sig) != key:
+                continue
+            isotope, principal = principal_isotope_with_relabel(L1, a, b)
+            for f in _isomorphisms(L2.table, isotope.table, sig2, sig):
+                f_inv = invert(f)
+                yield principal.then(IsotopyWitness(f_inv, f_inv, f_inv))
 
 
 def are_isotopic(L1: RightLoop, L2: RightLoop) -> IsotopyWitness | None:
@@ -309,24 +311,30 @@ def classify(loops, relation: str = "isotopy") -> ClassPartition:
 
     The loop that opens a class enters its targets into an index: itself
     under 'iso', and under 'isotopy' its principal isotopes, since a loop
-    is isotopic to it exactly when isomorphic to one of them. A further loop
-    is settled by looking its table up among the targets, or else by an
-    isomorphism search against the targets that share its sorted element
-    signatures, an isomorphism invariant. Only class members, the current
-    representatives and the index are kept. Classes come out in order of
-    their least member; the representative is the first member with the
-    lexicographically least table."""
+    is isotopic to it exactly when isomorphic to one of them; the
+    signatures of each new isotope table are read off the opener. A
+    further loop is settled by looking its table up among the targets, or
+    else by an isomorphism search against the targets that share its
+    sorted element signatures, an isomorphism invariant. Only class
+    members, the current representatives and the index are kept. Classes
+    come out in order of their least member; the representative is the
+    first member with the lexicographically least table."""
     isotopy = _is_isotopy(relation)
     classes: list[list[int]] = []
     representatives: list[RightLoop] = []
     exact: dict[tuple, int] = {}  # target table -> class
     index: dict[tuple, list] = {}  # sorted signatures -> (class, table, signatures)
+
+    def enter(table, sigs, k):
+        exact[table] = k
+        index.setdefault(tuple(sorted(sigs)), []).append((k, table, sigs))
+
     for i, loop in enumerate(loops):
         if representatives and loop.order != representatives[0].order:
             raise ValueError("classification requires loops of equal order")
         k = exact.get(loop.table)
         if k is None:
-            sigs = _signatures(loop)
+            sigs = loop.signatures
             for c, table, target_sigs in index.get(tuple(sorted(sigs)), ()):
                 if next(_isomorphisms(loop.table, table, sigs, target_sigs), None):
                     k = c
@@ -339,17 +347,15 @@ def classify(loops, relation: str = "isotopy") -> ClassPartition:
         k = len(classes)
         classes.append([i])
         representatives.append(loop)
-        if isotopy:
-            targets = (isotope for isotope, _ in _principal_isotopes(loop))
-        else:
-            targets = (loop,)
-        for target in targets:
-            if target.table not in exact:
-                exact[target.table] = k
-                target_sigs = _signatures(target)
-                index.setdefault(tuple(sorted(target_sigs)), []).append(
-                    (k, target.table, target_sigs)
-                )
+        if not isotopy:
+            enter(loop.table, loop.signatures, k)
+            continue
+        parts: dict = {}
+        for a in left_nonsingular_elements(loop):
+            for b in range(loop.order):
+                table = principal_isotope_with_relabel(loop, a, b)[0].table
+                if table not in exact:
+                    enter(table, _principal_signatures(loop, a, b, parts), k)
     return ClassPartition(relation, tuple(map(tuple, classes)), tuple(representatives))
 
 

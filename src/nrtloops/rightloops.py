@@ -77,6 +77,39 @@ class RightLoop:
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.table))
 
+    @cached_property
+    def signatures(self) -> tuple[tuple, ...]:
+        """Per-element invariants preserved by any isomorphism: the row's
+        value multiplicities, the column's sorted cycle lengths, and
+        idempotence. Computed once per loop, in one pass over the table."""
+        return _table_signatures(self)
+
+
+def _cycle_lengths(perm) -> tuple[int, ...]:
+    """The sorted cycle lengths of a permutation."""
+    n = len(perm)
+    seen = [False] * n
+    lengths = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        length = 0
+        y = start
+        while not seen[y]:
+            seen[y] = True
+            y = perm[y]
+            length += 1
+        lengths.append(length)
+    lengths.sort()
+    return tuple(lengths)
+
+
+def _table_signatures(loop: RightLoop) -> tuple[tuple, ...]:
+    return tuple(
+        (tuple(sorted(map(row.count, set(row)))), _cycle_lengths(column), row[x] == x)
+        for x, (row, column) in enumerate(zip(loop.table, loop.columns))
+    )
+
 
 def validate_right_loop(table) -> RightLoop:
     """Build a RightLoop from any square sequence of index rows, raising

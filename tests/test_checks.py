@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from nrtloops import checks
+from nrtloops import checks, isotopy, rightloops
 from nrtloops.checks import (
     CHECK_IDS,
     CatalogEntry,
@@ -27,6 +27,7 @@ from nrtloops.isotopy import (
     classify,
     isomorphisms,
 )
+from nrtloops.rightloops import left_nonsingular_elements
 from nrtloops.transversals import enumerate_transversals, induced_right_loop
 
 EXPECTED_LABELS = [
@@ -198,6 +199,16 @@ def test_load_catalog(tmp_path):
     bad.write_text(json.dumps({"label": "x"}))
     with pytest.raises(ValueError, match="JSON list"):
         load_catalog(bad)
+
+
+def test_load_catalog_rejects_a_repeated_label(tmp_path):
+    # two reports with one label could not be told apart
+    path = tmp_path / "twice.json"
+    entry = {"label": "a", "group": "sym:3", "subgroup": "(2,3)"}
+    other = {**entry, "group": "cyclic:4", "subgroup": "2"}
+    path.write_text(json.dumps([entry, other]))
+    with pytest.raises(ValueError, match="catalog entry 1 repeats the label 'a'"):
+        load_catalog(path)
 
 
 def test_wrong_fact_is_reported(tmp_path):
@@ -480,6 +491,76 @@ def test_prop32_fails_on_a_class_member_with_another_count(monkeypatch):
             {"first": "I,(1,2),(1,2,3)", "second": "I,(1,3,2),(1,2,3)"},
         )
     ]
+
+
+def test_prop33_induces_nothing_on_the_corefree_entries(monkeypatch):
+    """On a trivial core the quotient map is the identity onto the entry's
+    group, so prop3.3 induces no loop there; the four entries with a
+    non-trivial core induce their quotient's."""
+    entries = [checks._EntryData(entry) for entry in default_catalog()]
+    for data in entries:
+        assert data.loops  # the entry's own loops, which every check shares
+    induced = []
+
+    def counted(T):
+        induced.append(T)
+        return induced_right_loop(T)
+
+    monkeypatch.setattr(checks, "induced_right_loop", counted)
+    corefree = 0
+    for data in entries:
+        induced.clear()
+        verdict, details = checks._check_prop33(data)
+        assert verdict == "pass"
+        if details["core_order"] == 1:
+            corefree += 1
+            assert induced == []
+        else:
+            assert induced
+    assert corefree == 7
+
+
+def test_prop32_searches_from_the_lower_count(monkeypatch):
+    counts = []
+
+    def recorded(L1, L2):
+        counts.append(
+            (len(left_nonsingular_elements(L1)), len(left_nonsingular_elements(L2)))
+        )
+        return are_isotopic(L1, L2)
+
+    monkeypatch.setattr(checks, "are_isotopic", recorded)
+    reports = run_suite(check_ids=["prop3.2"])
+    assert [r.verdict for r in reports] == ["pass"] * len(default_catalog())
+    assert counts and all(low < high for low, high in counts)
+
+
+def test_one_suite_round_does_pinned_work(monkeypatch):
+    """One run_suite() call induces 222 loops (215 for the catalog entries
+    and 7 for the quotients of the 4 with a non-trivial core), builds 660
+    principal-isotope tables and makes 315 signature passes over a table.
+    The counts are deterministic, so repeated work shows here without any
+    timing."""
+    work = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            work[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(checks, "induced_right_loop")
+    count(isotopy, "principal_isotope_with_relabel")
+    count(rightloops, "_table_signatures")
+    assert suite_passed(run_suite())
+    assert work == {
+        "induced_right_loop": 222,
+        "principal_isotope_with_relabel": 660,
+        "_table_signatures": 315,
+    }
 
 
 def test_flip_checks_classify_once_per_prime(monkeypatch):

@@ -591,12 +591,15 @@ def test_verify_malformed_catalog_exits_two(tmp_path):
     number_group.write_text(json.dumps([{"label": "a", "group": 5, "subgroup": "x"}]))
     list_subgroup = tmp_path / "list_subgroup.json"
     list_subgroup.write_text(json.dumps([entry, {**entry, "subgroup": ["x"]}]))
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps([entry, entry]))
     expected = {
         not_object: "error: catalog entry 1 is not an object\n",
         lacks_key: "error: catalog entry 0 lacks 'subgroup'\n",
         bad_facts: "error: catalog entry 0 has facts that are not an object\n",
         number_group: "error: catalog entry 0 has a 'group' that is not a string\n",
         list_subgroup: "error: catalog entry 1 has a 'subgroup' that is not a string\n",
+        twice: "error: catalog entry 1 repeats the label 'a'\n",
     }
     count = "that is not a non-negative integer"
     for k, (facts, wrong) in enumerate(

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from nrtloops import isotopy
+from nrtloops import isotopy, rightloops
 from nrtloops.burnside import dihedral_isotopy_count
 from nrtloops.checks import default_catalog
 from nrtloops.flips import affine_families, dihedral_transversal, flip_loop, flip_sets
@@ -332,10 +332,96 @@ def test_signatures_separate_positions_as_before():
     for group, sub in pools:
         for loop in transversal_loops(group, sub):
             old += old_signatures(loop)
-            new += isotopy._signatures(loop)
+            new += loop.signatures
     assert len(old) == len(new) == 64 * 7 + 32 * 6 + 2048 * 12 + 216 * 4
     # equal under one definition exactly when equal under the other
     assert len(set(zip(old, new))) == len(set(old)) == len(set(new))
+
+
+READ_OFF_POOLS = [
+    ("dihedral:5", "x"),
+    ("alt:4", "(1,2)(3,4)"),
+    ("sym:4", "(1,2) (1,2,3)"),
+    ("dihedral:6", "y^3"),
+    ("dihedral:6", "y^3 x"),
+]
+
+
+def test_principal_signatures_are_the_built_isotopes():
+    """For every loop of the pools and every left non-singular a and every
+    b, the signatures read off the loop are the built isotope's."""
+    cases = 0
+    counts = set()
+    for group, sub in READ_OFF_POOLS:
+        for loop in transversal_loops(group, sub):
+            lns = left_nonsingular_elements(loop)
+            counts.add((loop.order, len(lns)))
+            parts = {}
+            for a in lns:
+                for b in range(loop.order):
+                    isotope = principal_isotope_with_relabel(loop, a, b)[0]
+                    read = isotopy._principal_signatures(loop, a, b, parts)
+                    assert tuple(read) == isotope.signatures, (group, sub, a, b)
+                    cases += 1
+    assert cases == 2956
+    # left non-singular counts 1, 2, 4 at order 4 and 1 and n elsewhere
+    assert counts == {
+        (3, 1), (3, 3), (4, 1), (4, 2), (4, 4), (5, 1), (5, 5),
+        (6, 2), (6, 4), (6, 6),
+    }
+
+
+def test_are_isotopic_builds_only_isotopes_whose_key_matches(monkeypatch):
+    """An isotope table is built only for an (a, b) whose read-off sorted
+    signatures equal the target's; a pair with no such (a, b) builds
+    none."""
+    built = []
+
+    def counted(loop, a, b):
+        built.append((a, b))
+        return principal_isotope_with_relabel(loop, a, b)
+
+    monkeypatch.setattr(isotopy, "principal_isotope_with_relabel", counted)
+    rng = random.Random(21)
+    loops = transversal_loops("dihedral:7", "x")
+    never = 0
+    for _ in range(80):
+        L1, L2 = rng.sample(loops, 2)
+        key = sorted(L2.signatures)
+        parts = {}
+        matching = [
+            (a, b)
+            for a in left_nonsingular_elements(L1)
+            for b in range(L1.order)
+            if sorted(isotopy._principal_signatures(L1, a, b, parts)) == key
+        ]
+        built.clear()
+        witness = are_isotopic(L1, L2)
+        if witness is None:
+            assert built == matching
+        else:
+            # the search stops at the first isotope that carries an isotopy
+            assert built and built == matching[: len(built)]
+        never += not matching
+    assert never > 0
+
+
+def test_classify_computes_each_loops_signatures_once(monkeypatch):
+    """Signatures are cached on the loop: classifying one tuple of loops
+    under isotopy and then under isomorphism makes one signature pass per
+    loop, and none over an isotope table."""
+    passes = Counter()
+    original = rightloops._table_signatures
+
+    def counted(loop):
+        passes[id(loop)] += 1
+        return original(loop)
+
+    monkeypatch.setattr(rightloops, "_table_signatures", counted)
+    loops = tuple(transversal_loops("dihedral:7", "x"))
+    assert len(classify(loops, "isotopy").classes) == 5
+    assert len(classify(loops, "iso").classes) == 14
+    assert passes == Counter(id(loop) for loop in loops)
 
 
 def test_classify_isotopy():
