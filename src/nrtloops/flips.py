@@ -67,17 +67,7 @@ class FlipSet:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "FlipSet":
-        """The set of the bits of mask below n. A mask of nonzero residues
-        is recorded as the set's mask, and its members are not checked
-        again."""
-        members = tuple(i for i in range(n) if mask >> i & 1)
-        if n < 1 or mask & 1 or not 0 <= mask < 1 << n:
-            return cls(n, members)
-        flips = object.__new__(cls)
-        object.__setattr__(flips, "n", n)
-        object.__setattr__(flips, "members", members)
-        object.__setattr__(flips, "mask", mask)
-        return flips
+        return cls(n, tuple(i for i in range(n) if mask >> i & 1))
 
     @classmethod
     def parse(cls, n: int, text: str) -> "FlipSet":

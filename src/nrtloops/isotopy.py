@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .perms import (
     CapExceededError,
@@ -207,32 +207,42 @@ def principal_isotope_with_relabel(
     return _trusted_right_loop(tuple(map(tuple, rows))), principal
 
 
-def _principal_signatures(loop: RightLoop, a: int, b: int, parts: dict) -> list:
-    """The signatures of principal_isotope_with_relabel(loop, a, b)'s
-    isotope, read off loop without building it.
+def _principal_signatures(loop: RightLoop):
+    """Yield (a, b, signatures) for each left non-singular a, then each b,
+    where signatures() reads off loop the signatures of
+    principal_isotope_with_relabel(loop, a, b)'s isotope without building
+    it.
 
     With s the swap of 0 and a*b, element u of the isotope is alpha(x) =
     beta(y) for x = R(b)^-1(s(u)) and y = L(a)^-1(s(u)), and u . v =
     s(x * L(a)^-1(s(v))). So the row of u holds s of the values of row x,
     with the same multiplicities; the column of u is R(y) o R(b)^-1
     conjugated by s, with the same cycle lengths; and u is idempotent
-    exactly when s(x * y) = u. parts is a dict that the caller keeps for
-    one pass over the isotopes of loop: it holds the cycle lengths of
-    R(y) o R(b)^-1 by (y, b), which every a shares."""
+    exactly when s(x * y) = u. Every a shares the cycle lengths of
+    R(y) o R(b)^-1, so they are kept by (y, b) while the generator runs."""
     t, columns, sigs = loop.table, loop.columns, loop.signatures
-    e = t[a][b]
-    swap = list(range(loop.order))
-    swap[0], swap[e] = e, 0
-    row_inv, column_inv = invert(t[a]), invert(columns[b])
-    result = []
-    for u, su in enumerate(swap):
-        x, y = column_inv[su], row_inv[su]
-        lengths = parts.get((y, b))
-        if lengths is None:
-            column = columns[y]
-            lengths = parts[y, b] = _cycle_lengths([column[w] for w in column_inv])
-        result.append((sigs[x][0], lengths, swap[t[x][y]] == u))
-    return result
+    lengths_of: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def signatures(a: int, b: int) -> list:
+        e = t[a][b]
+        swap = list(range(loop.order))
+        swap[0], swap[e] = e, 0
+        row_inv, column_inv = invert(t[a]), invert(columns[b])
+        result = []
+        for u, su in enumerate(swap):
+            x, y = column_inv[su], row_inv[su]
+            lengths = lengths_of.get((y, b))
+            if lengths is None:
+                column = columns[y]
+                lengths = lengths_of[y, b] = _cycle_lengths(
+                    [column[w] for w in column_inv]
+                )
+            result.append((sigs[x][0], lengths, swap[t[x][y]] == u))
+        return result
+
+    for a in left_nonsingular_elements(loop):
+        for b in range(loop.order):
+            yield a, b, partial(signatures, a, b)
 
 
 def _isotopies(L1: RightLoop, L2: RightLoop):
@@ -242,16 +252,14 @@ def _isotopies(L1: RightLoop, L2: RightLoop):
     and the isotope is built only when they sort to L2's."""
     sig2 = L2.signatures
     key = sorted(sig2)
-    parts: dict = {}
-    for a in left_nonsingular_elements(L1):
-        for b in range(L1.order):
-            sig = _principal_signatures(L1, a, b, parts)
-            if sorted(sig) != key:
-                continue
-            isotope, principal = principal_isotope_with_relabel(L1, a, b)
-            for f in _isomorphisms(L2.table, isotope.table, sig2, sig):
-                f_inv = invert(f)
-                yield principal.then(IsotopyWitness(f_inv, f_inv, f_inv))
+    for a, b, signatures in _principal_signatures(L1):
+        sig = signatures()
+        if sorted(sig) != key:
+            continue
+        isotope, principal = principal_isotope_with_relabel(L1, a, b)
+        for f in _isomorphisms(L2.table, isotope.table, sig2, sig):
+            f_inv = invert(f)
+            yield principal.then(IsotopyWitness(f_inv, f_inv, f_inv))
 
 
 def are_isotopic(L1: RightLoop, L2: RightLoop) -> IsotopyWitness | None:
@@ -350,12 +358,10 @@ def classify(loops, relation: str = "isotopy") -> ClassPartition:
         if not isotopy:
             enter(loop.table, loop.signatures, k)
             continue
-        parts: dict = {}
-        for a in left_nonsingular_elements(loop):
-            for b in range(loop.order):
-                table = principal_isotope_with_relabel(loop, a, b)[0].table
-                if table not in exact:
-                    enter(table, _principal_signatures(loop, a, b, parts), k)
+        for a, b, signatures in _principal_signatures(loop):
+            table = principal_isotope_with_relabel(loop, a, b)[0].table
+            if table not in exact:
+                enter(table, signatures(), k)
     return ClassPartition(relation, tuple(map(tuple, classes)), tuple(representatives))
 
 

@@ -41,25 +41,6 @@ def test_flip_set_basics():
     assert FlipSet.parse(5, " { 1, 3 } ") == B
 
 
-def test_from_mask_records_a_valid_mask(monkeypatch):
-    def no_check(self):
-        raise AssertionError("a flip set was validated")
-
-    # a mask of nonzero residues below n is neither checked nor recomputed
-    monkeypatch.setattr(FlipSet, "__post_init__", no_check)
-    B = FlipSet.from_mask(5, 0b01010)
-    assert (B.n, B.members) == (5, (1, 3))
-    assert B.__dict__["mask"] == 0b01010
-    monkeypatch.undo()
-    assert B == FlipSet(5, (1, 3)) and hash(B) == hash(FlipSet(5, (1, 3)))
-    assert FlipSet.from_mask(5, 0) == FlipSet(5, ())
-    # any other mask goes through the checked constructor, as before
-    with pytest.raises(ValueError, match="1..4"):
-        FlipSet.from_mask(5, 0b00011)
-    high = FlipSet.from_mask(3, 0b11110)
-    assert high.members == (1, 2) and high.mask == 0b110
-
-
 def test_flip_set_parse_reads_format():
     for B in flip_sets(7):
         assert FlipSet.parse(7, B.format()) == B

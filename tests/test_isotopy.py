@@ -356,13 +356,13 @@ def test_principal_signatures_are_the_built_isotopes():
         for loop in transversal_loops(group, sub):
             lns = left_nonsingular_elements(loop)
             counts.add((loop.order, len(lns)))
-            parts = {}
-            for a in lns:
-                for b in range(loop.order):
-                    isotope = principal_isotope_with_relabel(loop, a, b)[0]
-                    read = isotopy._principal_signatures(loop, a, b, parts)
-                    assert tuple(read) == isotope.signatures, (group, sub, a, b)
-                    cases += 1
+            pairs = []
+            for a, b, signatures in isotopy._principal_signatures(loop):
+                isotope = principal_isotope_with_relabel(loop, a, b)[0]
+                assert tuple(signatures()) == isotope.signatures, (group, sub, a, b)
+                pairs.append((a, b))
+            assert pairs == [(a, b) for a in lns for b in range(loop.order)]
+            cases += len(pairs)
     assert cases == 2956
     # left non-singular counts 1, 2, 4 at order 4 and 1 and n elsewhere
     assert counts == {
@@ -388,12 +388,10 @@ def test_are_isotopic_builds_only_isotopes_whose_key_matches(monkeypatch):
     for _ in range(80):
         L1, L2 = rng.sample(loops, 2)
         key = sorted(L2.signatures)
-        parts = {}
         matching = [
             (a, b)
-            for a in left_nonsingular_elements(L1)
-            for b in range(L1.order)
-            if sorted(isotopy._principal_signatures(L1, a, b, parts)) == key
+            for a, b, signatures in isotopy._principal_signatures(L1)
+            if sorted(signatures()) == key
         ]
         built.clear()
         witness = are_isotopic(L1, L2)
