@@ -72,12 +72,20 @@ class FlipSet:
     @classmethod
     def parse(cls, n: int, text: str) -> "FlipSet":
         """Parse a comma-separated residue list, braced or not; blank means empty."""
-        text = text.strip()
-        if text.startswith("{") and text.endswith("}"):
-            text = text[1:-1].strip()
-        if not text:
+        inner = text.strip()
+        if inner.startswith("{") and inner.endswith("}"):
+            inner = inner[1:-1].strip()
+        if not inner:
             return cls(n, ())
-        return cls(n, tuple(int(tok) for tok in text.replace(" ", "").split(",")))
+        members = []
+        for tok in map(str.strip, inner.split(",")):
+            try:
+                members.append(int(tok))
+            except ValueError:
+                raise ValueError(
+                    f"flip set member {tok!r} in {text!r} is not an integer"
+                ) from None
+        return cls(n, tuple(members))
 
     def format(self) -> str:
         return "{" + ",".join(map(str, self.members)) + "}"

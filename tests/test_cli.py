@@ -11,8 +11,11 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 
-from nrtloops import cli
+import pytest
+
+from nrtloops import cli, isotopy, rightloops
 from nrtloops.isotopy import classify
 from nrtloops.perms import CapExceededError
 from nrtloops.transversals import Transversal
@@ -379,6 +382,16 @@ def test_dihedral_families_text():
     assert braced.stdout == listed.stdout
 
 
+def test_dihedral_families_rejects_space_separated_subset():
+    result = run_cli("dihedral", "families", "--p", "17", "--B", "1 3")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: flip set member '1 3' in '1 3' is not an integer\n"
+    empty = run_cli("dihedral", "families", "--p", "5", "--B", "1,,2")
+    assert empty.returncode == 2
+    assert empty.stderr == "error: flip set member '' in '1,,2' is not an integer\n"
+
+
 def test_dihedral_families_csv():
     result = run_cli("dihedral", "families", "--p", "3", "--format", "csv")
     assert result.returncode == 0
@@ -662,3 +675,45 @@ def test_verify_failing_catalog(tmp_path):
         f"facts  fail     wrong  {details}",
         "0 passed, 1 failed, 0 vacuous",
     ]
+
+
+@pytest.mark.parametrize(
+    "group, subgroup, pinned",
+    [
+        # 1024 loops in 15 classes: the representative scan dominates
+        ("dihedral:11", "x", (1024, 1024, 275, 1807)),
+        # 16384 equal tables in 1 class: one signature pass, no search
+        ("dihedral:16", "y^4", (16384, 1, 64, 0)),
+    ],
+    ids=("d11-mirror", "d16-normal"),
+)
+def test_one_classify_round_does_pinned_work(monkeypatch, group, subgroup, pinned):
+    """One `classify --format json` run, the work of one round of the
+    classify benchmark workloads: loops induced, signature passes over a
+    table, principal-isotope tables built and isomorphism searches. The
+    counts are deterministic, so repeated work shows here without any
+    timing."""
+    work = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            work[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    names = (
+        (cli, "induced_right_loop"),
+        (rightloops, "_table_signatures"),
+        (isotopy, "principal_isotope_with_relabel"),
+        (isotopy, "_isomorphisms"),
+    )
+    for module, name in names:
+        count(module, name)
+    result = run_cli(
+        "classify", "--group", group, "--subgroup", subgroup, "--format", "json"
+    )
+    assert result.returncode == 0
+    assert tuple(work[name] for _, name in names) == pinned

@@ -57,6 +57,15 @@ def test_flip_set_errors():
         FlipSet.parse(5, "1,x")
 
 
+def test_flip_set_parse_rejects_bad_tokens():
+    for text, token in (("1 3", "1 3"), ("1,,2", ""), ("a", "a"), ("{1, 2 4}", "2 4")):
+        with pytest.raises(ValueError) as info:
+            FlipSet.parse(5, text)
+        assert str(info.value) == (
+            f"flip set member {token!r} in {text!r} is not an integer"
+        )
+
+
 def test_flip_loop_tables():
     assert flip_loop(3, ()).table == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     assert flip_loop(3, (1,)).table == ((0, 1, 2), (1, 0, 0), (2, 2, 1))

@@ -847,3 +847,44 @@ def test_pseudo_automorphisms_of_a_group_are_its_automorphisms(descriptor):
             eta[t[x][y]] == t[eta[x]][eta[y]] for x in range(n) for y in range(n)
         )
         assert holds == automorphism, (eta, c, side)
+
+
+def test_oracle_pairs_do_pinned_work(monkeypatch):
+    """The pairs (i, i+1) and (i, i+32) mod 64 of the dihedral:7 x loops,
+    each decided by the search and by the oracle, as one round of the
+    oracle benchmark workload does: 64 signature passes (one per loop), 25
+    principal-isotope tables and 25 isomorphism searches, 128 oracle calls.
+    Both find the same 24 pairs isotopic."""
+    G = build_named_group("dihedral:7")
+    loops = [
+        induced_right_loop(t)
+        for t in enumerate_transversals(G, parse_subgroup(G, "x"))
+    ]
+    work = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            work[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    names = (
+        (rightloops, "_table_signatures"),
+        (isotopy, "principal_isotope_with_relabel"),
+        (isotopy, "_isomorphisms"),
+        (isotopy, "brute_force_isotopy_oracle"),
+    )
+    for module, name in names:
+        count(module, name)
+    pairs = [(i, (i + d) % 64) for i in range(64) for d in (1, 32)]
+    searched, decided = set(), set()
+    for a, b in pairs:
+        if isotopy.are_isotopic(loops[a], loops[b]) is not None:
+            searched.add((a, b))
+        if isotopy.brute_force_isotopy_oracle(loops[a], loops[b]):
+            decided.add((a, b))
+    assert tuple(work[name] for _, name in names) == (64, 25, 25, 128)
+    assert len(searched) == 24 and searched == decided
