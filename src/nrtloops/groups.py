@@ -3,8 +3,11 @@
 A group here is nothing but its multiplication table: ``table[a][b]`` is the
 index of the product ``a*b``. The identity always sits at index 0; the named
 constructors and the file loader relabel as needed to enforce that. Element
-names are optional display strings. Everything is immutable and safe to share
-between threads.
+names are optional display strings, distinct when given. A table from
+outside, given to ``FiniteGroup`` or ``loads_cayley``, is checked once, in
+full; the named constructors and ``quotient`` build groups by construction
+through ``_trusted_group``, which checks nothing. Everything is immutable
+and safe to share between threads.
 
 Permutation elements (symmetric and alternating constructors) compose in the
 usual way: the right factor acts first, so ``mul(p, q)`` is the map
@@ -21,11 +24,6 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .perms import CapExceededError, compose, format_cycles, parse_cycles, perm_parity
-
-# Associativity is an O(n^3) scan, so the constructor only runs it for small
-# tables; the named constructors are associative by construction and
-# assert_valid() is always available for an explicit full check.
-_FULL_CHECK_LIMIT = 64
 
 # Order cap for the named constructors, the order of sym:7. A table of
 # order N holds N^2 entries, so sym:8 would need over 12 GiB.
@@ -54,7 +52,7 @@ class CayleyFileError(GroupError):
         self.column = column
 
 
-def _check_table(order: int, table, full: bool) -> None:
+def _check_table(order: int, table) -> None:
     if order <= 0:
         raise GroupError("group order must be positive")
     if len(table) != order:
@@ -75,7 +73,7 @@ def _check_table(order: int, table, full: bool) -> None:
         b = table[a].index(0)
         if table[b][a] != 0:
             raise GroupError(f"element {a} has no two-sided inverse")
-    if full and (failure := _associativity_failure(table)) is not None:
+    if (failure := _associativity_failure(table)) is not None:
         a, b, c = failure
         raise GroupError(f"associativity fails at ({a},{b},{c})")
 
@@ -106,12 +104,14 @@ class FiniteGroup:
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
         if self.names is not None:
-            object.__setattr__(self, "names", tuple(str(s) for s in self.names))
-            if len(self.names) != self.order:
-                raise GroupError(
-                    f"{len(self.names)} names for {self.order} elements"
-                )
-        _check_table(self.order, self.table, full=self.order <= _FULL_CHECK_LIMIT)
+            names = tuple(map(str, self.names))
+            object.__setattr__(self, "names", names)
+            if len(names) != self.order:
+                raise GroupError(f"{len(names)} names for {self.order} elements")
+            if len(set(names)) < self.order:
+                repeated = next(s for i, s in enumerate(names) if s in names[:i])
+                raise GroupError(f"name {repeated!r} is repeated")
+        _check_table(self.order, self.table)
 
     def __repr__(self):
         return f"FiniteGroup({self.kind}, order={self.order})"
@@ -144,9 +144,13 @@ class FiniteGroup:
     def name_of(self, a: int) -> str:
         return self.names[a] if self.names else str(a)
 
-    def assert_valid(self) -> None:
-        """Full validation including the O(n^3) associativity scan."""
-        _check_table(self.order, self.table, full=True)
+
+def _trusted_group(table: tuple[tuple[int, ...], ...], names, kind: str) -> FiniteGroup:
+    """A FiniteGroup from row tuples that form a group with identity 0 by
+    construction, unchecked: the twin of rightloops._trusted_right_loop."""
+    group = object.__new__(FiniteGroup)
+    group.__dict__.update(order=len(table), table=table, names=names, kind=kind)
+    return group
 
 
 @dataclass(frozen=True)
@@ -267,7 +271,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]
         tuple(dec.coset_of[G.mul(reps[i], reps[j])] for j in range(k))
         for i in range(k)
     )
-    return FiniteGroup(k, table, None, "quotient"), dec.coset_of
+    return _trusted_group(table, None, "quotient"), dec.coset_of
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:
@@ -317,7 +321,7 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise GroupError(f"cyclic group needs order >= 1, got {n}")
     _require_order_within_cap(f"cyclic:{n}", (n,))
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return FiniteGroup(n, table, tuple(str(i) for i in range(n)), "cyclic")
+    return _trusted_group(table, tuple(str(i) for i in range(n)), "cyclic")
 
 
 def _dihedral_name(a: int, i: int) -> str:
@@ -346,7 +350,7 @@ def dihedral_group(n: int) -> FiniteGroup:
         for i in range(n)
     )
     names = tuple(_dihedral_name(a, i) for a in (0, 1) for i in range(n))
-    return FiniteGroup(2 * n, table, names, "dihedral")
+    return _trusted_group(table, names, "dihedral")
 
 
 def _perm_group(perms: list[tuple[int, ...]], kind: str) -> FiniteGroup:
@@ -371,7 +375,7 @@ def _perm_group(perms: list[tuple[int, ...]], kind: str) -> FiniteGroup:
                     queue.append(row[h])
     table = tuple(rows[i] for i in range(len(perms)))
     names = tuple(format_cycles(p) for p in perms)
-    return FiniteGroup(len(perms), table, names, kind)
+    return _trusted_group(table, names, kind)
 
 
 @lru_cache(maxsize=None)
@@ -494,12 +498,10 @@ def loads_cayley(text: str) -> FiniteGroup:
             raise CayleyFileError("unexpected content after names line", line=rest[1][0])
 
     table = tuple(rows)
-    identity = None
-    for e in range(n):
-        if all(table[e][a] == a and table[a][e] == a for a in range(n)):
-            identity = e
+    for identity in range(n):
+        if all(table[identity][a] == a == table[a][identity] for a in range(n)):
             break
-    if identity is None:
+    else:
         raise CayleyFileError("table has no two-sided identity element")
     if identity != 0:
         # relabel by swapping 0 and the identity so that index 0 is neutral
@@ -511,11 +513,9 @@ def loads_cayley(text: str) -> FiniteGroup:
         if names is not None:
             names = tuple(names[swap[a]] for a in range(n))
     try:
-        group = FiniteGroup(n, table, names, "file")
-        group.assert_valid()
+        return FiniteGroup(n, table, names, "file")
     except GroupError as exc:
         raise CayleyFileError(str(exc)) from None
-    return group
 
 
 def load_cayley_file(path) -> FiniteGroup:

@@ -120,11 +120,10 @@ def validate_right_loop(table) -> RightLoop:
 
 def _trusted_right_loop(table: tuple[tuple[int, ...], ...]) -> RightLoop:
     """A RightLoop from a tuple of row tuples that is a right loop by
-    construction, such as a principal isotope, without checking it again.
-    Tables from outside go through validate_right_loop."""
+    construction, such as a principal isotope or a flip loop, without
+    checking it. Tables from outside go through validate_right_loop."""
     loop = object.__new__(RightLoop)
-    object.__setattr__(loop, "order", len(table))
-    object.__setattr__(loop, "table", table)
+    loop.__dict__.update(order=len(table), table=table)
     return loop
 
 

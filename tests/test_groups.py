@@ -7,6 +7,7 @@ import time
 import pytest
 
 from nrtloops import groups
+from nrtloops.flips import flip_loop, flip_sets
 from nrtloops.groups import (
     CayleyFileError,
     FiniteGroup,
@@ -31,6 +32,7 @@ from nrtloops.groups import (
     symmetric_group,
 )
 from nrtloops.perms import CapExceededError, format_cycles, perm_parity
+from nrtloops.rightloops import validate_right_loop
 
 
 def steiner_loop_table():
@@ -175,7 +177,6 @@ def test_group_methods():
     H = FiniteGroup(3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "abc")
     assert H.order == 3
     assert H.kind == "table"
-    H.assert_valid()
 
 
 def test_table_validation():
@@ -201,6 +202,25 @@ def test_table_validation():
     # the first failing triple in lexicographic order
     with pytest.raises(GroupError, match=r"^associativity fails at \(1,2,4\)$"):
         FiniteGroup(10, steiner_loop_table())
+
+
+def test_a_non_associative_table_of_order_70_is_rejected():
+    # the Steiner loop times Z_7, (s, i) at index 7s + i: Latin, with unit 0
+    # and two-sided inverses, but not associative
+    steiner = steiner_loop_table()
+    table = [
+        [7 * steiner[a // 7][b // 7] + (a + b) % 7 for b in range(70)] for a in range(70)
+    ]
+    with pytest.raises(GroupError, match=r"^associativity fails at \(7,14,28\)$"):
+        FiniteGroup(70, table)
+
+
+def test_repeated_element_names_are_rejected():
+    with pytest.raises(GroupError, match=r"^name 'a' is repeated$"):
+        FiniteGroup(2, [[0, 1], [1, 0]], ["a", "a"])
+    # the loader keeps its own message, which names the line
+    with pytest.raises(CayleyFileError, match=r"^line 4: name 'a' is repeated$"):
+        loads_cayley("2\n0 1\n1 0\nnames: a a\n")
 
 
 def test_subgroup_and_generated():
@@ -274,6 +294,34 @@ def test_generated_subgroup_matches_the_two_sided_closure(descriptor):
     gens = [rng.randrange(G.order) for _ in range(2)]
     assert generated_subgroup(recording, gens).members == two_sided_closure(G, gens)
     assert seen <= set(gens)
+
+
+def test_every_table_built_by_construction_passes_the_full_check():
+    """The named constructors, quotient and flip_loop check nothing at run
+    time, so their tables are checked here in full."""
+    for descriptor in SWEEP_GROUPS:
+        G = build_named_group(descriptor)
+        assert FiniteGroup(G.order, G.table, G.names, G.kind) == G
+        if G.kind in ("symmetric", "alternating"):
+            perms = list(itertools.permutations(range(int(descriptor.partition(":")[2]))))
+            if G.kind == "alternating":
+                perms = [p for p in perms if perm_parity(p) == 0]
+            assert G.table == _pairwise_table(perms)
+            assert G.names == tuple(format_cycles(p) for p in sorted(perms))
+        if G.order > 24:
+            continue
+        for members in sorted({generated_subgroup(G, [g]).members for g in range(G.order)}):
+            N = subgroup(G, members)
+            if not is_normal(G, N):
+                continue
+            Q, projection = quotient(G, N)
+            assert FiniteGroup(Q.order, Q.table, Q.names, Q.kind) == Q
+            for a, b in itertools.product(range(G.order), repeat=2):
+                assert projection[G.mul(a, b)] == Q.mul(projection[a], projection[b])
+    for n in range(1, 10):
+        for B in flip_sets(n):
+            loop = flip_loop(n, B)
+            assert validate_right_loop(loop.table) == loop
 
 
 def subgroups_one_generator_at_a_time(G):
@@ -356,6 +404,20 @@ def test_cayley_round_trip():
     K = loads_cayley("2\n0 1\n1 0\n")
     assert K.order == 2
     assert K.names is None
+
+
+def test_loads_cayley_scans_associativity_once(monkeypatch):
+    text = dumps_cayley(dihedral_group(4))
+    scans = []
+    scan = groups._associativity_failure
+
+    def counted(table):
+        scans.append(len(table))
+        return scan(table)
+
+    monkeypatch.setattr(groups, "_associativity_failure", counted)
+    assert loads_cayley(text).table == dihedral_group(4).table
+    assert scans == [8]
 
 
 def test_cayley_identity_relabel():
