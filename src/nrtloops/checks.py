@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .burnside import dihedral_isotopy_count, subset_orbit_count
-from .flips import affine_families, affine_family, flip_loop, flip_sets
+from .flips import FlipSet, _family_masks, _family_walk, flip_loop, flip_sets
 from .groups import (
     build_named_group,
     core,
@@ -476,32 +476,28 @@ class FlipClassCounts:
 
 def _check_thm41(counts: FlipClassCounts):
     """For an odd prime modulus, two flip loops are isotopic exactly when
-    each flip set lies in the other's affine family: the families are
-    symmetric and equal the isotopy classes."""
+    each flip set lies in the other's affine family: the families, on masks,
+    are symmetric and equal the isotopy classes."""
     p = counts.p
     classes = counts.classes
     if classes is None:
         return "vacuous", {
             "note": f"direct classification capped at p={FLIP_CLASS_PRIME_CAP}"
         }
-    # flip sets are compared by their masks
-    flip_set = {B.mask: B for B in flip_sets(p)}
     class_of = {B: members for members in classes for B in members}
-    subsets = sorted(flip_set)
-    families = {
-        B: frozenset(C.mask for C in affine_family(p, flip_set[B])) for B in subsets
-    }
+    subsets = sorted(class_of)
+    families = {B: _family_masks(p, B) for B in subsets}
     for B in subsets:
         for C in sorted(families[B]):
             if B not in families[C]:
-                pair = [flip_set[B].format(), flip_set[C].format()]
+                pair = [FlipSet.from_mask(p, m).format() for m in (B, C)]
                 return "fail", {"asymmetric": pair}
     for B in subsets:
         if class_of[B] != families[B]:
             C = min(class_of[B] ^ families[B])
             return "fail", {
-                "B": flip_set[B].format(),
-                "C": flip_set[C].format(),
+                "B": FlipSet.from_mask(p, B).format(),
+                "C": FlipSet.from_mask(p, C).format(),
                 "family_predicts": C in families[B],
                 "isotopic": C in class_of[B],
             }
@@ -515,7 +511,7 @@ def _check_thm42(counts: FlipClassCounts):
     details = {
         "orbit_count": counts.orbit_count,
         "formula": counts.formula,
-        "families": len(affine_families(counts.p)),
+        "families": sum(1 for _ in _family_walk(counts.p)),
     }
     if counts.direct is not None:
         details["direct"] = counts.direct

@@ -9,8 +9,8 @@ arguments or descriptors, 3 a size cap was exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 
@@ -143,26 +143,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+@contextlib.contextmanager
+def _output(args):
+    """The stream a command writes to: the --output file, else stdout."""
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args, text: str) -> None:
+    with _output(args) as out:
+        out.write(text)
+        if not text.endswith("\n"):
+            out.write("\n")
 
 
 def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2, sort_keys=True))
+    with _output(args) as out:
+        json.dump(obj, out, indent=2, sort_keys=True)
+        out.write("\n")
 
 
 def _emit_csv(args, rows) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    _emit(args, buffer.getvalue())
+    with _output(args) as out:
+        csv.writer(out, lineterminator="\n").writerows(rows)
 
 
 def _require_odd_prime_arg(p) -> int:

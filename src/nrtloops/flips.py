@@ -60,10 +60,7 @@ class FlipSet:
 
     @cached_property
     def mask(self) -> int:
-        result = 0
-        for b in self.members:
-            result |= 1 << b
-        return result
+        return sum(1 << b for b in self.members)
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "FlipSet":
@@ -96,10 +93,15 @@ def flip_sets(n: int, cap: int = DEFAULT_ENUMERATION_CAP):
     flip sets of the transversals of a reflection in the dihedral group of
     order 2n. Raises CapExceededError, before yielding any, when they
     exceed cap."""
+    return (FlipSet.from_mask(n, mask) for mask in _subset_masks(n, cap))
+
+
+def _subset_masks(n: int, cap: int) -> range:
+    """The masks of flip_sets(n, cap), checked against cap."""
     total = 1 << (n - 1)
     if total > cap:
         raise CapExceededError(f"{total} transversals exceed the cap of {cap}")
-    return (FlipSet.from_mask(n, mask << 1) for mask in range(total))
+    return range(0, 1 << n, 2)
 
 
 def _as_flip_set(n: int, B) -> FlipSet:
@@ -142,20 +144,15 @@ def predicted_left_nonsingular(n: int, B) -> tuple[int, ...]:
     a nonzero i qualifies exactly when B is fixed by adding the generator
     of the subgroup generated by i (odd n) or by 2i (even n); 0 always
     qualifies. Matches the row-bijectivity scan of the table."""
-    B = _as_flip_set(n, B)
+    mask = _as_flip_set(n, B).mask
+    full = (1 << n) - 1
     result = [0]
     for i in range(1, n):
         step = math.gcd(i if n % 2 else 2 * i, n)
-        if _shift_invariant(B, step):
+        # B is fixed by adding step when its mask is turned step places
+        if (mask << step | mask >> (n - step)) & full == mask:
             result.append(i)
     return tuple(result)
-
-
-def _shift_invariant(B: FlipSet, step: int) -> bool:
-    """Whether B and its complement are unions of cosets of the subgroup
-    of multiples of step."""
-    members = B._member_set
-    return all((b + step) % B.n in members for b in members)
 
 
 @dataclass(frozen=True)
@@ -196,21 +193,42 @@ def loop_transversal_census(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Censu
 # isotopy families over a prime modulus
 
 
-def affine_family(p: int, B) -> frozenset[FlipSet]:
-    """The isotopy family of a subset B of nonzero residues mod an odd
-    prime: over every affine map f, the image f(B) when it misses 0, and
-    its complement when it holds 0. Every member is again a subset of the
-    nonzero residues, and membership is symmetric. Raises
-    CapExceededError above p = AFFINE_PRIME_CAP, as affine_maps does."""
-    maps = affine_maps(p)
-    members = _as_flip_set(p, B).members
+def _family_masks(p: int, mask: int) -> frozenset[int]:
+    """The masks of the isotopy family of the subset of nonzero residues
+    mod an odd prime with this mask: over every affine map f, the image
+    f(B) when it misses 0, and its complement when it holds 0."""
     full = (1 << p) - 1
-    masks = set()
-    for f in maps:
+    members = [b for b in range(1, p) if mask >> b & 1]
+    family = set()
+    for f in affine_maps(p):
         image = 0
         for b in members:
             image |= 1 << f[b]
-        masks.add(full ^ image if image & 1 else image)
+        family.add(full ^ image if image & 1 else image)
+    return frozenset(family)
+
+
+def _family_walk(p: int, cap: int = DEFAULT_ENUMERATION_CAP):
+    """The families of all subsets mod p as sorted tuples of masks, by least
+    mask, one _family_masks call each; the cap is checked first."""
+    _require_odd_prime(p)
+    masks = _subset_masks(p, cap)
+    seen = bytearray(1 << p)
+    for mask in masks:
+        if not seen[mask]:
+            family = sorted(_family_masks(p, mask))
+            for member in family:
+                if seen[member]:
+                    raise AssertionError("families are not disjoint")
+                seen[member] = 1
+            yield tuple(family)
+
+
+def affine_family(p: int, B) -> frozenset[FlipSet]:
+    """The isotopy family of a subset B of nonzero residues mod an odd
+    prime, as flip sets (see _family_masks); membership is symmetric.
+    Raises CapExceededError above p = AFFINE_PRIME_CAP, as affine_maps does."""
+    masks = _family_masks(p, _as_flip_set(p, B).mask)
     return frozenset(FlipSet.from_mask(p, mask) for mask in masks)
 
 
@@ -220,19 +238,10 @@ def affine_families(
     """Partition of all subsets of the nonzero residues mod p into isotopy
     families, ordered by least member mask; families are sorted by mask.
     Raises CapExceededError when the 2^(p-1) subsets exceed cap."""
-    _require_odd_prime(p)
-    assigned: dict[int, int] = {}
-    families = []
-    for B in flip_sets(p, cap):
-        if B.mask in assigned:
-            continue
-        family = sorted(affine_family(p, B), key=lambda s: s.mask)
-        for member in family:
-            if member.mask in assigned:
-                raise AssertionError("families are not disjoint")
-            assigned[member.mask] = len(families)
-        families.append(tuple(family))
-    return tuple(families)
+    return tuple(
+        tuple(FlipSet.from_mask(p, mask) for mask in family)
+        for family in _family_walk(p, cap)
+    )
 
 
 def families_json_obj(p: int, families) -> dict:

@@ -445,6 +445,10 @@ def loads_cayley(text: str) -> FiniteGroup:
         ) from None
     if n < 1:
         raise CayleyFileError("element count must be positive", line=first_no, column=1)
+    if n > GROUP_ORDER_CAP:
+        raise CapExceededError(
+            f"the table's order {n} exceeds the cap of {GROUP_ORDER_CAP}"
+        )
     if len(lines) < n + 1:
         raise CayleyFileError(
             f"expected {n} table rows, found {len(lines) - 1}",

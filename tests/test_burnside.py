@@ -53,6 +53,16 @@ def test_affine_maps_enumeration():
         affine_maps(9)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_affine_maps_are_closed_under_composition(p):
+    maps = affine_maps(p)
+    members = set(maps)
+    assert len(members) == p * (p - 1)
+    for f in maps:
+        for g in maps:
+            assert tuple(f[x] for x in g) in members
+
+
 def test_affine_maps_are_permutations_in_mu_t_order():
     maps = affine_maps(5)
     assert maps[0] == (0, 1, 2, 3, 4)

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from nrtloops import checks, isotopy, rightloops
+from nrtloops import checks, flips, isotopy, rightloops
 from nrtloops.checks import (
     CHECK_IDS,
     CatalogEntry,
@@ -18,7 +18,7 @@ from nrtloops.checks import (
     run_suite,
     suite_passed,
 )
-from nrtloops.flips import FlipSet, affine_family, flip_loop
+from nrtloops.flips import FlipSet, flip_loop
 from nrtloops.groups import build_named_group, core, parse_subgroup, quotient, subgroup
 from nrtloops.isotopy import (
     AutotopyGroup,
@@ -250,7 +250,7 @@ def test_prop32_fails_when_counts_are_crossed(monkeypatch):
 
 
 def test_thm41_fails_when_families_miss_a_class_member(monkeypatch):
-    monkeypatch.setattr("nrtloops.checks.affine_family", lambda p, B: frozenset([B]))
+    monkeypatch.setattr("nrtloops.checks._family_masks", lambda p, B: frozenset([B]))
     (report,) = run_suite(check_ids=["thm4.1"], ps=(5,))
     assert report.verdict == "fail"
     assert report.details_dict() == {
@@ -264,15 +264,31 @@ def test_thm41_fails_when_families_miss_a_class_member(monkeypatch):
 
 
 def test_thm41_reports_an_asymmetric_family(monkeypatch):
-    empty = FlipSet(5, ())
+    # the empty flip set has mask 0
     monkeypatch.setattr(
-        "nrtloops.checks.affine_family",
-        lambda p, B: affine_family(p, B) | {empty},
+        "nrtloops.checks._family_masks",
+        lambda p, B: flips._family_masks(p, B) | {0},
     )
     (report,) = run_suite(check_ids=["thm4.1"], ps=(5,))
     assert report.verdict == "fail"
     # the family of {1} gained the empty set, whose family lacks {1}
     assert report.details_dict() == {"asymmetric": ["{1}", "{}"]}
+
+
+def test_thm41_and_thm42_build_flip_sets_only_to_classify(monkeypatch):
+    # the checks read masks; only the direct classification of the
+    # 4 + 16 + 64 flip loops for p = 3, 5, 7 builds flip sets
+    built = Counter()
+    post_init = FlipSet.__post_init__
+
+    def counting(self):
+        built[self.n] += 1
+        post_init(self)
+
+    monkeypatch.setattr(FlipSet, "__post_init__", counting)
+    reports = run_suite(check_ids=["thm4.1", "thm4.2"])
+    assert [r.verdict for r in reports] == ["pass"] * 6
+    assert built == {3: 4, 5: 16, 7: 64}
 
 
 def test_flip_class_cap_is_one_constant(monkeypatch):

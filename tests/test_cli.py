@@ -435,7 +435,10 @@ def test_closure_cap_exits_three(monkeypatch, capsys):
     )
 
 
-def test_size_caps_exit_three(capsys):
+def test_size_caps_exit_three(tmp_path, capsys):
+    # a table file is capped on its first line, before any row is read
+    big = tmp_path / "big.txt"
+    big.write_text("5041\n")
     for argv, message in (
         (["dihedral", "count", "--p", "37"], "affine_maps is capped at p = 31"),
         (
@@ -449,6 +452,10 @@ def test_size_caps_exit_three(capsys):
         (
             ["group", "show", "--group", "sym:9"],
             "the order of sym:9 exceeds the cap of 5040",
+        ),
+        (
+            ["group", "show", "--group", f"file:{big}"],
+            "the table's order 5041 exceeds the cap of 5040",
         ),
     ):
         assert cli.main(argv) == 3
@@ -476,7 +483,8 @@ def test_dihedral_count_above_the_class_cap_reads_no_classes(monkeypatch, capsys
         raise AssertionError("classes or families were read")
 
     monkeypatch.setattr("nrtloops.checks.classify", refuse)
-    monkeypatch.setattr("nrtloops.checks.affine_families", refuse)
+    monkeypatch.setattr("nrtloops.checks._family_walk", refuse)
+    monkeypatch.setattr("nrtloops.checks._family_masks", refuse)
     assert cli.main(["dihedral", "count", "--p", "31"]) == 0
     assert capsys.readouterr() == ("1155735 = 1155735\n", "")
 

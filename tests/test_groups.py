@@ -437,6 +437,11 @@ def test_cayley_errors():
         loads_cayley("0\n")
     with pytest.raises(CayleyFileError, match="rows"):
         loads_cayley("3\n0 1 2\n1 2 0\n")
+    # the order cap is checked on the first line; at the cap the rows are read
+    with pytest.raises(CapExceededError, match="the table's order 5041 exceeds"):
+        loads_cayley("5041\n")
+    with pytest.raises(CayleyFileError, match="expected 5040 table rows, found 0"):
+        loads_cayley("5040\n")
     err = None
     try:
         loads_cayley("2\n0 1\n1 0 0\n")
