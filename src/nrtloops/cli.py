@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import sys
 
@@ -35,7 +36,7 @@ from .flips import (
     families_json_obj,
     loop_transversal_census,
 )
-from .groups import GroupError, build_named_group, dumps_cayley, parse_subgroup
+from .groups import GroupError, _cayley_lines, build_named_group, parse_subgroup
 from .isotopy import classify
 from .perms import CapExceededError
 from .rightloops import left_nonsingular_elements, structure_flags
@@ -43,6 +44,7 @@ from .transversals import (
     DEFAULT_ENUMERATION_CAP,
     enumerate_transversals,
     induced_right_loop,
+    transversal_count,
 )
 
 EXIT_OK = 0
@@ -94,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--subgroup", required=True, help="subgroup generators")
     enum.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ENUMERATION_CAP)
     enum.add_argument(
-        "--limit", type=_non_negative_int, help="print at most this many rows"
+        "--limit", type=_non_negative_int, help="stop enumerating after this many rows"
     )
     add_common(enum, cmd_nrt_enumerate)
 
@@ -153,11 +155,10 @@ def _output(args):
         yield sys.stdout
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, lines) -> None:
+    """Write each line, then its newline, as the iterable makes it."""
     with _output(args) as out:
-        out.write(text)
-        if not text.endswith("\n"):
-            out.write("\n")
+        out.writelines(f"{line}\n" for line in lines)
 
 
 def _emit_json(args, obj) -> None:
@@ -195,33 +196,19 @@ def cmd_group_show(args) -> int:
             },
         )
     elif args.format == "csv":
-        rows = [["order", G.order]]
-        rows.append(["names"] + names)
-        rows.extend(list(row) for row in G.table)
-        _emit_csv(args, rows)
+        _emit_csv(args, itertools.chain([["order", G.order], ["names", *names]], G.table))
     else:
-        _emit(args, dumps_cayley(G))
+        _emit(args, _cayley_lines(G))
     return EXIT_OK
 
 
 def cmd_nrt_enumerate(args) -> int:
     G = build_named_group(args.group)
     H = parse_subgroup(G, args.subgroup)
-    rows = []
-    count = 0
-    for t in enumerate_transversals(G, H, cap=args.cap):
-        count += 1
-        if args.limit is None or len(rows) < args.limit:
-            loop = induced_right_loop(t)
-            flags = structure_flags(loop)
-            rows.append(
-                {
-                    "reps": list(t.reps),
-                    "label": t.label(),
-                    "is_loop": flags.is_loop,
-                    "is_group": flags.is_group,
-                }
-            )
+    # over the cap this raises here, before any output is opened
+    shown = itertools.islice(enumerate_transversals(G, H, cap=args.cap), args.limit)
+    rows = ((t, structure_flags(induced_right_loop(t))) for t in shown)
+    count = transversal_count(G, H)
     if args.format == "json":
         _emit_json(
             args,
@@ -229,20 +216,24 @@ def cmd_nrt_enumerate(args) -> int:
                 "group": args.group,
                 "subgroup": args.subgroup,
                 "count": count,
-                "transversals": rows,
+                "transversals": [
+                    {"reps": list(t.reps), "label": t.label(), **vars(flags)}
+                    for t, flags in rows
+                ],
             },
         )
     elif args.format == "csv":
-        out = [["label", "is_loop", "is_group"]]
-        out.extend([r["label"], r["is_loop"], r["is_group"]] for r in rows)
-        _emit_csv(args, out)
+        fields = ([t.label(), flags.is_loop, flags.is_group] for t, flags in rows)
+        _emit_csv(args, itertools.chain([["label", "is_loop", "is_group"]], fields))
     else:
-        lines = [f"{count} transversals of {args.subgroup} in {args.group}"]
-        for r in rows:
-            marks = " loop" if r["is_loop"] else ""
-            marks += " group" if r["is_group"] else ""
-            lines.append(f"  {{{r['label']}}}{marks}")
-        _emit(args, "\n".join(lines))
+        lines = (
+            f"  {{{t.label()}}}"
+            + (" loop" if flags.is_loop else "")
+            + (" group" if flags.is_group else "")
+            for t, flags in rows
+        )
+        header = f"{count} transversals of {args.subgroup} in {args.group}"
+        _emit(args, itertools.chain([header], lines))
     return EXIT_OK
 
 
@@ -285,19 +276,22 @@ def cmd_classify(args) -> int:
             rows.append([k, len(members), flags[k].is_loop, lns[k]])
         _emit_csv(args, rows)
         return EXIT_OK
-    lines = [
-        f"{len(classes)} {args.relation} classes over "
-        f"{len(labels)} transversals of {args.subgroup} in {args.group}"
-    ]
-    for k, (rep, members) in enumerate(classes):
-        lines.append(
-            f"class {k}: size {len(members)}, "
-            f"left-nonsingular {lns[k]}/{rep.order}"
-            + (", loop" if flags[k].is_loop else "")
-            + (", group" if flags[k].is_group else "")
+
+    def lines():
+        yield (
+            f"{len(classes)} {args.relation} classes over "
+            f"{len(labels)} transversals of {args.subgroup} in {args.group}"
         )
-        lines.extend(f"  {{{labels[m]}}}" for m in members)
-    _emit(args, "\n".join(lines))
+        for k, (rep, members) in enumerate(classes):
+            yield (
+                f"class {k}: size {len(members)}, "
+                f"left-nonsingular {lns[k]}/{rep.order}"
+                + (", loop" if flags[k].is_loop else "")
+                + (", group" if flags[k].is_group else "")
+            )
+            yield from (f"  {{{labels[m]}}}" for m in members)
+
+    _emit(args, lines())
     return EXIT_OK
 
 
@@ -313,7 +307,7 @@ def cmd_dihedral(args) -> int:
             _emit_csv(args, rows)
         else:
             shown = " ".join(w.format() for w in result.witnesses)
-            _emit(args, f"{result.count} witnesses: {shown}")
+            _emit(args, [f"{result.count} witnesses: {shown}"])
         return EXIT_OK
     p = _require_odd_prime_arg(args.p)
     if args.mode == "families":
@@ -326,19 +320,15 @@ def cmd_dihedral(args) -> int:
         if args.format == "json":
             _emit_json(args, families_json_obj(p, families))
         elif args.format == "csv":
-            rows = [["family", "subset"]]
-            for k, fam in enumerate(families):
-                rows.extend([k, s.format()] for s in fam)
-            _emit_csv(args, rows)
+            rows = ([k, s.format()] for k, fam in enumerate(families) for s in fam)
+            _emit_csv(args, itertools.chain([["family", "subset"]], rows))
         else:
-            lines = [f"{len(families)} families mod {p}"]
-            for fam in families:
-                lines.append("  " + " ".join(s.format() for s in fam))
-            _emit(args, "\n".join(lines))
+            lines = ("  " + " ".join(s.format() for s in fam) for fam in families)
+            _emit(args, itertools.chain([f"{len(families)} families mod {p}"], lines))
         return EXIT_OK
     counts = FlipClassCounts(p)
     if not counts.agree:
-        _emit(args, f"mismatch: {counts}")
+        _emit(args, [f"mismatch: {counts}"])
         return EXIT_CHECK_FAILED
     row = {"formula": counts.formula, "burnside": counts.orbit_count // 2}
     if counts.direct is not None:
@@ -348,7 +338,7 @@ def cmd_dihedral(args) -> int:
     elif args.format == "csv":
         _emit_csv(args, [["p", *row], [p, *row.values()]])
     else:
-        _emit(args, " = ".join(map(str, row.values())))
+        _emit(args, [" = ".join(map(str, row.values()))])
     return EXIT_OK
 
 
@@ -364,7 +354,7 @@ def cmd_cycle_index(args) -> int:
             rows.append([type_text, coeff.numerator, coeff.denominator])
         _emit_csv(args, rows)
     else:
-        _emit(args, format_cycle_index(index))
+        _emit(args, [format_cycle_index(index)])
     return EXIT_OK
 
 
@@ -404,7 +394,7 @@ def cmd_verify(args) -> int:
             f"{tally['pass']} passed, {tally['fail']} failed, "
             f"{tally['vacuous']} vacuous"
         )
-        _emit(args, "\n".join(lines))
+        _emit(args, lines)
     return EXIT_OK if suite_passed(reports) else EXIT_CHECK_FAILED
 
 

@@ -17,6 +17,7 @@ usual way: the right factor acts first, so ``mul(p, q)`` is the map
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -529,12 +530,16 @@ def load_cayley_file(path) -> FiniteGroup:
     return loads_cayley(p.read_text())
 
 
-def dumps_cayley(G: FiniteGroup) -> str:
-    lines = [str(G.order)]
-    lines += [" ".join(str(v) for v in row) for row in G.table]
+def _cayley_lines(G: FiniteGroup):
+    """The lines of the Cayley-table text format, without newlines."""
+    yield str(G.order)
+    yield from (" ".join(map(str, row)) for row in G.table)
     if G.names:
-        lines.append("names: " + " ".join(G.names))
-    return "\n".join(lines) + "\n"
+        yield "names: " + " ".join(G.names)
+
+
+def dumps_cayley(G: FiniteGroup) -> str:
+    return "\n".join(_cayley_lines(G)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +558,11 @@ def element_index(G: FiniteGroup, token: str) -> int:
     if G.names and tok in G.names:
         return G.names.index(tok)
     if G.kind in ("symmetric", "alternating"):
+        # sym:k has order k!, alt:k has k!/2 (or 1 for k <= 2)
+        size = G.order * (2 if G.kind == "alternating" else 1)
+        degree = next(k for k in itertools.count(1) if math.factorial(k) >= size)
         try:
-            name = format_cycles(parse_cycles(tok, 8))
+            name = format_cycles(parse_cycles(tok, degree))
         except ValueError as exc:
             raise GroupError(f"bad cycle descriptor {tok!r}: {exc}") from None
         if G.names and name in G.names:

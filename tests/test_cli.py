@@ -11,6 +11,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -181,6 +182,102 @@ def test_enumerate_negative_limit_exits_two():
     assert "argument --limit: invalid non-negative int value: '-1'" in result.stderr
 
 
+def test_cycle_points_range_over_the_group_degree():
+    for group, token, degree in (("sym:3", "(1,9)", 3), ("alt:4", "(1,5)", 4)):
+        result = run_cli("nrt", "enumerate", "--group", group, "--subgroup", token)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: bad cycle descriptor {token!r}: "
+            f"point {token[3]} out of range 1..{degree} in {token!r}\n"
+        )
+
+
+def test_enumerate_stops_at_the_limit(monkeypatch):
+    """`--limit 3` takes three of the pool's 331,776 transversals."""
+    taken = Counter()
+    original = cli.enumerate_transversals
+
+    def counted(*args, **kwargs):
+        for t in original(*args, **kwargs):
+            taken["transversals"] += 1
+            yield t
+
+    monkeypatch.setattr(cli, "enumerate_transversals", counted)
+    result = run_cli(
+        "nrt", "enumerate",
+        "--group", "sym:5",
+        "--subgroup", "(1,2) (1,2,3,4)",
+        "--limit", "3",
+    )
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[0] == (
+        "331776 transversals of (1,2) (1,2,3,4) in sym:5"
+    )
+    assert len(result.stdout.splitlines()) == 4
+    assert taken["transversals"] <= 3
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_enumerate_memory_does_not_grow_with_the_pool(tmp_path, fmt):
+    """dihedral:13 x has four times the transversals of dihedral:11 x. Rows
+    are written as they are made, so the traced peak barely grows."""
+
+    def traced_peak(group):
+        argv = [
+            "nrt", "enumerate",
+            "--group", group,
+            "--subgroup", "x",
+            "--format", fmt,
+            "--output", str(tmp_path / "out"),
+        ]
+        # the group is built and cached, and a full collection empties
+        # CPython's free lists, outside the trace
+        assert cli.main([*argv, "--limit", "1"]) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak("dihedral:13") <= 1.5 * traced_peak("dihedral:11")
+
+
+@pytest.mark.parametrize("command", ["classify", "nrt enumerate"])
+def test_a_command_over_the_cap_writes_nothing(tmp_path, command):
+    target = tmp_path / "F"
+    result = run_cli(
+        *command.split(),
+        "--group", "alt:4",
+        "--subgroup", "(1,2)(3,4)",
+        "--cap", "0",
+        "--output", str(target),
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: 32 transversals exceed the cap of 0\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("command", ["classify", "nrt enumerate"])
+def test_output_file_gets_the_stdout_bytes(tmp_path, command, fmt):
+    argv = (
+        *command.split(),
+        "--group", "alt:4",
+        "--subgroup", "(1,2)(3,4)",
+        "--format", fmt,
+    )
+    target = tmp_path / "out"
+    shown = run_cli(*argv)
+    written = run_cli(*argv, "--output", str(target))
+    assert shown.returncode == written.returncode == 0
+    assert written.stdout == ""
+    assert target.read_bytes() == shown.stdout.encode()
+
+
 def test_negative_cap_exits_two():
     for argv in (
         ("nrt", "enumerate", "--group", "sym:3", "--subgroup", "(2,3)"),
@@ -208,8 +305,9 @@ def test_classify_rejects_a_caret_without_an_exponent():
 
 
 def test_output_bytes_are_pinned():
-    """The exact stdout of two commands, pinned by digest: a change that
-    alters any byte of the reports or the classes fails here."""
+    """The exact stdout of some commands, pinned by digest: a change that
+    alters any byte of the reports, the classes, or the table and CSV
+    output written line by line fails here."""
     for argv, digest in (
         (
             ("verify", "--all", "--format", "json"),
@@ -219,6 +317,32 @@ def test_output_bytes_are_pinned():
             ("classify", "--group", "dihedral:11", "--subgroup", "x",
              "--format", "json"),
             "d870dc8c5bd459ffbf31b9157d0125ac7498600317137ddc66431b0dd93f63a9",
+        ),
+        (
+            ("nrt", "enumerate", "--group", "sym:4", "--subgroup", "(1,2)"),
+            "b80d4a89e03ee1a7cefb32f3197dc05a37283d70499a5caecaf58ce94e4c6824",
+        ),
+        (
+            ("nrt", "enumerate", "--group", "sym:4", "--subgroup", "(1,2)",
+             "--format", "csv"),
+            "cf1b0df670f3dd5b28f4e98f6ca9fa6090228c33f5b0271cd58270bd1d05e382",
+        ),
+        (
+            ("nrt", "enumerate", "--group", "sym:4", "--subgroup", "(1,2)",
+             "--limit", "3", "--format", "json"),
+            "f1ea178e7ac69383041c7f27dceba8fc80bf8d10e4e05f660c0f1349d157548a",
+        ),
+        (
+            ("dihedral", "families", "--p", "7"),
+            "180d888bf9475fd33cfda3b4047bf1d1bc7233d6cd259793f9ef1d8b10b1d64c",
+        ),
+        (
+            ("group", "show", "--group", "sym:4"),
+            "07e9780b036f909bd4a763ab0bd61c53d80ce66157feb6bcee29949abf140d78",
+        ),
+        (
+            ("group", "show", "--group", "sym:4", "--format", "csv"),
+            "d081534ee9b95c8b699589192267641a679cb24ec1f5e1008f5099483a28b140",
         ),
     ):
         result = run_cli(*argv)

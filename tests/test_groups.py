@@ -514,6 +514,18 @@ def test_element_index():
         element_index(T, "q")
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_cycle_tokens_parse_over_the_group_degree(k):
+    """Every element name of sym:k and alt:k resolves to its own index, and a
+    point past k is out of range 1..k (a trivial group's degree is moot)."""
+    for G in (symmetric_group(k), alternating_group(k)):
+        for index, name in enumerate(G.names):
+            assert element_index(G, name) == index
+        if G.order > 1:
+            with pytest.raises(GroupError, match=rf"point {k + 1} out of range 1\.\.{k} "):
+                element_index(G, f"(1,{k + 1})")
+
+
 def test_element_index_rejects_a_caret_without_an_exponent():
     D = dihedral_group(6)
     for token in ("y^", "xy^", "^", "x^"):

@@ -4,9 +4,11 @@ from collections import Counter
 
 import pytest
 
+from nrtloops.checks import default_catalog
 from nrtloops.groups import (
     GroupError,
     alternating_group,
+    build_named_group,
     core,
     cyclic_group,
     dihedral_group,
@@ -45,6 +47,13 @@ def test_transversal_count():
     D = dihedral_group(7)
     assert transversal_count(D, subgroup(D, [0, 7])) == 64
     assert transversal_count(G, subgroup(G, range(6))) == 1
+
+
+@pytest.mark.parametrize("entry", default_catalog(), ids=lambda e: e.label)
+def test_transversal_count_matches_the_enumeration(entry):
+    G = build_named_group(entry.group)
+    H = parse_subgroup(G, entry.subgroup)
+    assert transversal_count(G, H) == sum(1 for _ in enumerate_transversals(G, H))
 
 
 def test_enumeration_order_and_tables():
