@@ -53,6 +53,9 @@ _FACTS = {
 
 DEFAULT_PRIMES = (3, 5, 7)
 
+# Most transversals of a catalog entry, as its pools are held while it runs.
+ENTRY_POOL_CAP = 1 << 15
+
 # Largest prime whose flip loops thm4.1 and the direct thm4.2 count classify.
 FLIP_CLASS_PRIME_CAP = 7
 
@@ -191,7 +194,7 @@ class _EntryData:
 
     @cached_property
     def transversals(self):
-        return tuple(enumerate_transversals(self.group, self.subgroup))
+        return tuple(enumerate_transversals(self.group, self.subgroup, ENTRY_POOL_CAP))
 
     @cached_property
     def loops(self):
@@ -519,40 +522,22 @@ def _check_thm42(counts: FlipClassCounts):
     return ("pass" if agree else "fail"), details
 
 
-def _per_entry(check):
-    """A runner of a check made once per catalog entry, labelled with the
-    entry; a check that does not apply to an entry returns None and gives
-    no report."""
-
-    def run(entries, primes):
-        for data in entries:
-            result = check(data)
-            if result is not None:
-                yield (data.entry.label, *result)
-
-    return run
-
-
-def _per_prime(check):
-    return lambda entries, primes: (
-        (f"p={prime.p}", *check(prime)) for prime in primes
-    )
-
-
-# each check id, in report order, with its runner over (entries, primes),
-# which yields (label, verdict, details) for each report
+# each check id, in report order, with its kind: an "entry" check returns
+# (verdict, details) for one catalog entry, or None where it does not apply;
+# a "prime" check does so for one FlipClassCounts; a "suite" check yields
+# (label, verdict, details) for each of its reports
 _CHECKS = {
-    "facts": _per_entry(_check_facts),
-    "prop3.2": _per_entry(_check_prop32),
-    "prop3.3": _per_entry(_check_prop33),
-    "prop3.5": _per_entry(_check_prop35),
-    "prop3.7": _per_entry(_check_prop37),
-    "prop3.8": _per_entry(_check_prop38),
-    "cor3.8": _per_entry(_check_cor38),
-    "prop3.9": lambda entries, primes: _check_prop39(),
-    "thm3.12": _per_entry(_check_thm312),
-    "thm4.1": _per_prime(_check_thm41),
-    "thm4.2": _per_prime(_check_thm42),
+    "facts": ("entry", _check_facts),
+    "prop3.2": ("entry", _check_prop32),
+    "prop3.3": ("entry", _check_prop33),
+    "prop3.5": ("entry", _check_prop35),
+    "prop3.7": ("entry", _check_prop37),
+    "prop3.8": ("entry", _check_prop38),
+    "cor3.8": ("entry", _check_cor38),
+    "prop3.9": ("suite", _check_prop39),
+    "thm3.12": ("entry", _check_thm312),
+    "thm4.1": ("prime", _check_thm41),
+    "thm4.2": ("prime", _check_thm42),
 }
 
 CHECK_IDS = tuple(_CHECKS)
@@ -562,7 +547,9 @@ def run_suite(catalog=None, check_ids=None, ps=DEFAULT_PRIMES) -> list[CheckRepo
     """Run the requested checks (all by default; an empty selection is a
     ValueError) over the catalog entries and the standalone
     prime-parameterized checks; reports come back in catalog order within
-    check-id order."""
+    check-id order. Every entry's group and subgroup are built first, so a
+    bad descriptor fails before any pool; then the entry checks run entry
+    by entry, each entry's pools dropped before the next's are built."""
     if catalog is None:
         catalog = default_catalog()
     if check_ids is None:
@@ -575,13 +562,23 @@ def run_suite(catalog=None, check_ids=None, ps=DEFAULT_PRIMES) -> list[CheckRepo
         if unknown:
             raise ValueError(f"unknown check ids: {', '.join(unknown)}")
         requested = [c for c in CHECK_IDS if c in requested]
-    data = [_EntryData(entry) for entry in catalog]
+    rows = {check_id: [] for check_id in requested}
+    entry_checks = [c for c in requested if _CHECKS[c][0] == "entry"]
+    pending = [_EntryData(entry) for entry in catalog][::-1]
+    while pending:
+        data = pending.pop()  # rebinding drops the previous entry
+        for check_id in entry_checks:
+            result = _CHECKS[check_id][1](data)
+            if result is not None:
+                rows[check_id].append((data.entry.label, *result))
     primes = [FlipClassCounts(p) for p in ps]
-    return [
-        CheckReport(check_id, label, verdict, details)
-        for check_id in requested
-        for label, verdict, details in _CHECKS[check_id](data, primes)
-    ]
+    for check_id in requested:
+        kind, check = _CHECKS[check_id]
+        if kind == "prime":
+            rows[check_id].extend((f"p={q.p}", *check(q)) for q in primes)
+        elif kind == "suite":
+            rows[check_id].extend(check())
+    return [CheckReport(c, *row) for c in requested for row in rows[c]]
 
 
 def suite_passed(reports) -> bool:

@@ -13,7 +13,9 @@ import contextlib
 import csv
 import itertools
 import json
+import os
 import sys
+from collections import Counter
 
 from .burnside import (
     _require_odd_prime,
@@ -51,6 +53,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process it killed
 
 
 def _non_negative_int(text: str) -> int:
@@ -153,6 +156,7 @@ def _output(args):
             yield handle
     else:
         yield sys.stdout
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
 
 
 def _emit(args, lines) -> None:
@@ -210,18 +214,18 @@ def cmd_nrt_enumerate(args) -> int:
     rows = ((t, structure_flags(induced_right_loop(t))) for t in shown)
     count = transversal_count(G, H)
     if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "group": args.group,
-                "subgroup": args.subgroup,
-                "count": count,
-                "transversals": [
-                    {"reps": list(t.reps), "label": t.label(), **vars(flags)}
-                    for t, flags in rows
-                ],
-            },
-        )
+        # the one list sorts last, so its rows are written as they are made
+        head = {"group": args.group, "subgroup": args.subgroup, "count": count}
+        with _output(args) as out:
+            out.write(json.dumps(head, indent=2, sort_keys=True).removesuffix("\n}"))
+            out.write(',\n  "transversals": [')
+            gap = "\n"
+            for t, flags in rows:
+                row = {"reps": list(t.reps), "label": t.label(), **vars(flags)}
+                text = json.dumps(row, indent=2, sort_keys=True)
+                out.write(gap + "    " + text.replace("\n", "\n    "))
+                gap = ",\n"
+            out.write("]\n}\n" if gap == "\n" else "\n  ]\n}\n")
     elif args.format == "csv":
         fields = ([t.label(), flags.is_loop, flags.is_group] for t, flags in rows)
         _emit_csv(args, itertools.chain([["label", "is_loop", "is_group"]], fields))
@@ -359,12 +363,9 @@ def cmd_cycle_index(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    check_ids = None
     if args.check:
-        check_ids = []
-        for chunk in args.check:
-            check_ids.extend(tok for tok in chunk.split(",") if tok)
-    else:
-        check_ids = None
+        check_ids = [tok for chunk in args.check for tok in chunk.split(",") if tok]
     catalog = (
         default_catalog() if args.catalog == "default" else load_catalog(args.catalog)
     )
@@ -387,9 +388,7 @@ def cmd_verify(args) -> int:
             ):
                 line += f"  {json.dumps(details, sort_keys=True)}"
             lines.append(line)
-        tally = {"pass": 0, "fail": 0, "vacuous": 0}
-        for r in reports:
-            tally[r.verdict] += 1
+        tally = Counter(r.verdict for r in reports)
         lines.append(
             f"{tally['pass']} passed, {tally['fail']} failed, "
             f"{tally['vacuous']} vacuous"
@@ -405,6 +404,10 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except BrokenPipeError:
+        # the reader is gone; the flush at exit then writes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS

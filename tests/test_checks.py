@@ -1,7 +1,9 @@
 """Tests for the structural check suite and its catalog."""
 
 import dataclasses
+import gc
 import json
+import tracemalloc
 import types
 from collections import Counter
 
@@ -577,6 +579,30 @@ def test_one_suite_round_does_pinned_work(monkeypatch):
         "principal_isotope_with_relabel": 660,
         "_table_signatures": 315,
     }
+
+
+def test_run_suite_holds_one_entry_at_a_time():
+    """The entry checks run entry by entry, and each entry's pools are
+    dropped before the next entry's are built, so two entries peak near the
+    larger one alone. The margin covers the first entry's freed tables,
+    which stay in CPython's tuple free lists, where tracemalloc counts
+    them."""
+    entry_checks = [c for c in CHECK_IDS if checks._CHECKS[c][0] == "entry"]
+    smaller = CatalogEntry("d8", "dihedral:8", "x")
+    larger = CatalogEntry("d9", "dihedral:9", "x")
+
+    def traced_peak(catalog):
+        # builds and caches the groups, but no pool, outside the trace
+        run_suite(catalog, ["facts"])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_suite(catalog, entry_checks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak([smaller, larger]) <= 1.25 * traced_peak([larger])
 
 
 def test_flip_checks_classify_once_per_prime(monkeypatch):

@@ -1,7 +1,7 @@
 """End-to-end tests that drive the command line through ``cli.main`` in
 this process, with stdout and stderr captured and argparse's exits caught.
-One test runs ``python -m nrtloops`` as a subprocess, so that the module
-entry point is covered too."""
+A few tests run ``python -m nrtloops`` as a subprocess, so that the
+module entry point and a closed output pipe are covered too."""
 
 import contextlib
 import csv
@@ -16,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from nrtloops import cli, isotopy, rightloops
+from nrtloops import checks, cli, isotopy, rightloops
 from nrtloops.isotopy import classify
 from nrtloops.perms import CapExceededError
 from nrtloops.transversals import Transversal
@@ -218,7 +218,40 @@ def test_enumerate_stops_at_the_limit(monkeypatch):
     assert taken["transversals"] <= 3
 
 
-@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("limit", [None, "0", "1"])
+def test_enumerate_json_is_one_dump(limit):
+    """The rows are written as they are made, in the bytes that one
+    json.dump of the whole object gives, an empty list included."""
+    argv = ["--group", "sym:3", "--subgroup", "(2,3)", "--format", "json"]
+    result = run_cli("nrt", "enumerate", *argv, *(["--limit", limit] if limit else []))
+    assert result.returncode == 0
+    obj = json.loads(result.stdout)
+    assert len(obj["transversals"]) == (4 if limit is None else int(limit))
+    assert result.stdout == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_closed_pipe_exits_141_in_silence(fmt):
+    """A reader that stops after one line closes the pipe while rows are
+    still to come. The command then exits 141, as a shell reports a process
+    ended by SIGPIPE, and writes nothing on stderr."""
+    command = [
+        sys.executable, "-m", "nrtloops", "nrt", "enumerate",
+        "--group", "dihedral:13",
+        "--subgroup", "x",
+        "--format", fmt,
+    ]
+    with subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert stderr == b""
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_enumerate_memory_does_not_grow_with_the_pool(tmp_path, fmt):
     """dihedral:13 x has four times the transversals of dihedral:11 x. Rows
     are written as they are made, so the traced peak barely grows."""
@@ -807,6 +840,40 @@ def test_verify_failing_catalog(tmp_path):
         f"facts  fail     wrong  {details}",
         "0 passed, 1 failed, 0 vacuous",
     ]
+
+
+def test_verify_fails_on_a_bad_descriptor_before_any_pool(tmp_path, monkeypatch):
+    """Every entry's group and subgroup are built before any check runs, so
+    a bad second entry exits 2 before the first entry's loops are induced."""
+    induced = []
+    monkeypatch.setattr(checks, "induced_right_loop", induced.append)
+    path = tmp_path / "catalog.json"
+    path.write_text(
+        json.dumps(
+            [
+                {"label": "good", "group": "dihedral:3", "subgroup": "x"},
+                {"label": "bad", "group": "nope:3", "subgroup": "x"},
+            ]
+        )
+    )
+    result = run_cli("verify", "--catalog", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: unknown group kind 'nope' in 'nope:3'\n"
+    assert induced == []
+
+
+def test_verify_caps_the_pool_of_an_entry(tmp_path):
+    """An entry's pools are held while its checks run, so an entry with more
+    than 2^15 transversals exits 3 before any is built, writing nothing."""
+    path = tmp_path / "catalog.json"
+    path.write_text(
+        json.dumps([{"label": "d17", "group": "dihedral:17", "subgroup": "x"}])
+    )
+    result = run_cli("verify", "--catalog", str(path))
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: 65536 transversals exceed the cap of 32768\n"
 
 
 @pytest.mark.parametrize(
