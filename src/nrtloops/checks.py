@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .burnside import dihedral_isotopy_count, subset_orbit_count
-from .flips import FlipSet, _family_masks, _family_walk, flip_loop, flip_sets
+from .flips import FlipSet, _family_masks, _family_walk, flip_loop, flip_mask, flip_sets
 from .groups import (
     build_named_group,
     core,
+    dihedral_group,
     generated_subgroup,
     is_nilpotent,
     is_normal,
@@ -38,7 +39,7 @@ from .isotopy import (
     isomorphisms,
     pseudo_automorphism_scan,
 )
-from .rightloops import left_nonsingular_elements, structure_flags
+from .rightloops import is_loop, left_nonsingular_elements
 from .transversals import enumerate_transversals, induced_right_loop
 
 # each fact key a catalog entry may declare, with how it is computed
@@ -46,9 +47,7 @@ _FACTS = {
     "normal": lambda data: is_normal(data.group, data.subgroup),
     "isotopy_classes": lambda data: len(data.partition("isotopy").classes),
     "isomorphism_classes": lambda data: len(data.partition("iso").classes),
-    "loop_transversals": lambda data: sum(
-        1 for loop in data.loops if structure_flags(loop).is_loop
-    ),
+    "loop_transversals": lambda data: sum(map(is_loop, data.loops)),
 }
 
 DEFAULT_PRIMES = (3, 5, 7)
@@ -296,7 +295,7 @@ def _check_prop35(data: _EntryData):
     if N.order != 1 or itp != 1:
         return "vacuous", {"core_order": N.order, "itp": itp}
     for t, loop in zip(data.transversals, data.loops):
-        if structure_flags(loop).is_loop:
+        if is_loop(loop):
             return "fail", {"loop_transversal": t.label()}
         if generated_subgroup(data.group, t.reps).order != data.group.order:
             return "fail", {"proper_span": t.label()}
@@ -436,21 +435,24 @@ class FlipClassCounts:
     (which counts each class twice, once with its complement), and for p up
     to FLIP_CLASS_PRIME_CAP direct classification (None above that). Each
     is computed when first read, so the checks of one run_suite call share
-    one classification per prime."""
+    one classification per prime: that of the transversals of <x> in D_2p,
+    from the catalog entry run_suite hands over as entry, else built here."""
 
     def __init__(self, p: int):
         self.p = p
+        self.entry: _EntryData | None = None
 
     @cached_property
     def classes(self) -> list[frozenset[int]] | None:
         """The isotopy classes of the 2^(p-1) flip loops, each as the set of
         its flip-set masks, or None when p exceeds FLIP_CLASS_PRIME_CAP."""
-        if self.p > FLIP_CLASS_PRIME_CAP:
+        p = self.p
+        if p > FLIP_CLASS_PRIME_CAP:
             return None
-        subsets = list(flip_sets(self.p))
-        loops = (flip_loop(self.p, B) for B in subsets)
-        classes = classify(loops, "isotopy").classes
-        return [frozenset(subsets[m].mask for m in members) for members in classes]
+        data = self.entry or _EntryData(CatalogEntry(f"D{p}", f"dihedral:{p}", "x"))
+        masks = [flip_mask(t) for t in data.transversals]
+        classes = data.partition("isotopy").classes
+        return [frozenset(masks[m] for m in members) for members in classes]
 
     @cached_property
     def orbit_count(self) -> int:
@@ -565,13 +567,19 @@ def run_suite(catalog=None, check_ids=None, ps=DEFAULT_PRIMES) -> list[CheckRepo
     rows = {check_id: [] for check_id in requested}
     entry_checks = [c for c in requested if _CHECKS[c][0] == "entry"]
     pending = [_EntryData(entry) for entry in catalog][::-1]
+    primes = [FlipClassCounts(p) for p in ps]
+    # an entry that holds a prime's D_2p pool lends it its isotopy classes
+    lend = any(_CHECKS[c][0] == "prime" for c in requested)
+    borrowers = [q for q in primes if lend and 1 < q.p <= FLIP_CLASS_PRIME_CAP]
     while pending:
         data = pending.pop()  # rebinding drops the previous entry
         for check_id in entry_checks:
             result = _CHECKS[check_id][1](data)
             if result is not None:
                 rows[check_id].append((data.entry.label, *result))
-    primes = [FlipClassCounts(p) for p in ps]
+        for q in borrowers:
+            if data.subgroup.members == (0, q.p) and data.group == dihedral_group(q.p):
+                q.entry = data
     for check_id in requested:
         kind, check = _CHECKS[check_id]
         if kind == "prime":

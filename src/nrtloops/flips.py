@@ -20,7 +20,7 @@ from functools import cached_property
 from .burnside import _require_odd_prime, affine_maps
 from .groups import dihedral_group, right_cosets, subgroup
 from .perms import CapExceededError
-from .rightloops import RightLoop, _trusted_right_loop, structure_flags
+from .rightloops import RightLoop, _trusted_right_loop, is_loop
 from .transversals import DEFAULT_ENUMERATION_CAP, Transversal, make_transversal
 
 
@@ -139,6 +139,12 @@ def dihedral_transversal(n: int, B) -> Transversal:
     return make_transversal(G, H, reps, dec)
 
 
+def flip_mask(T: Transversal) -> int:
+    """The inverse of dihedral_transversal on masks: bit i is set when the
+    representative of coset i is a reflection, an element past the n-th."""
+    return sum(1 << i for i, r in enumerate(T.reps) if r >= len(T.reps))
+
+
 def predicted_left_nonsingular(n: int, B) -> tuple[int, ...]:
     """Left non-singular residues of flip_loop(n, B) computed from B alone:
     a nonzero i qualifies exactly when B is fixed by adding the generator
@@ -181,7 +187,7 @@ def loop_transversal_census(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Censu
     witnesses = []
     for B in flip_sets(n, cap):
         if len(predicted_left_nonsingular(n, B)) == n:
-            if not structure_flags(flip_loop(n, B)).is_loop:
+            if not is_loop(flip_loop(n, B)):
                 raise AssertionError(
                     f"criterion and table disagree at n={n}, B={B.format()}"
                 )

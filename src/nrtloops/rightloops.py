@@ -135,6 +135,11 @@ def left_nonsingular_elements(loop: RightLoop) -> tuple[int, ...]:
     )
 
 
+def is_loop(loop: RightLoop) -> bool:
+    """Whether every row is a bijection, so the right loop is a loop."""
+    return all(len(set(row)) == loop.order for row in loop.table)
+
+
 def is_associative(table) -> bool:
     return _associativity_failure(table) is None
 
@@ -146,7 +151,7 @@ class StructureFlags:
 
 
 def structure_flags(loop: RightLoop) -> StructureFlags:
-    loop_flag = len(left_nonsingular_elements(loop)) == loop.order
+    loop_flag = is_loop(loop)
     return StructureFlags(loop_flag, loop_flag and is_associative(loop.table))
 
 

@@ -4,7 +4,6 @@ import dataclasses
 import gc
 import json
 import tracemalloc
-import types
 from collections import Counter
 
 import pytest
@@ -20,7 +19,7 @@ from nrtloops.checks import (
     run_suite,
     suite_passed,
 )
-from nrtloops.flips import FlipSet, flip_loop
+from nrtloops.flips import FlipSet, flip_loop, flip_sets
 from nrtloops.groups import build_named_group, core, parse_subgroup, quotient, subgroup
 from nrtloops.isotopy import (
     AutotopyGroup,
@@ -277,9 +276,9 @@ def test_thm41_reports_an_asymmetric_family(monkeypatch):
     assert report.details_dict() == {"asymmetric": ["{1}", "{}"]}
 
 
-def test_thm41_and_thm42_build_flip_sets_only_to_classify(monkeypatch):
-    # the checks read masks; only the direct classification of the
-    # 4 + 16 + 64 flip loops for p = 3, 5, 7 builds flip sets
+def test_thm41_and_thm42_build_no_flip_set_when_they_pass(monkeypatch):
+    # the checks read masks, and the classes are read off the catalog's
+    # transversals, so only a failure, to name its sets, builds a flip set
     built = Counter()
     post_init = FlipSet.__post_init__
 
@@ -290,7 +289,56 @@ def test_thm41_and_thm42_build_flip_sets_only_to_classify(monkeypatch):
     monkeypatch.setattr(FlipSet, "__post_init__", counting)
     reports = run_suite(check_ids=["thm4.1", "thm4.2"])
     assert [r.verdict for r in reports] == ["pass"] * 6
-    assert built == {3: 4, 5: 16, 7: 64}
+    assert built == {}
+
+
+def _flip_loop_classes(p):
+    """The isotopy classes of the mod-p flip loops as sets of masks, by
+    classifying the flip loops themselves."""
+    subsets = list(flip_sets(p))
+    partition = classify((flip_loop(p, B) for B in subsets), "isotopy")
+    return {
+        frozenset(subsets[m].mask for m in members) for members in partition.classes
+    }
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_flip_classes_are_the_classes_of_the_flip_loops(monkeypatch, p):
+    reference = _flip_loop_classes(p)
+    assert set(FlipClassCounts(p).classes) == reference
+    # the classes run_suite reads off the catalog entry of the same pool
+    lent = []
+    check = checks._check_thm41
+
+    def recorded(counts):
+        lent.append((counts.entry.entry.label, set(counts.classes)))
+        return check(counts)
+
+    monkeypatch.setitem(checks._CHECKS, "thm4.1", ("prime", recorded))
+    assert suite_passed(run_suite(check_ids=["thm4.1"], ps=(p,)))
+    assert lent == [(f"dihedral{p}-mirror", reference)]
+
+
+def test_a_suite_round_classifies_each_flip_pool_once(monkeypatch):
+    calls = Counter()
+
+    def counted(loops, relation):
+        loops = list(loops)
+        calls[relation, loops[0].order] += 1
+        return classify(loops, relation)
+
+    monkeypatch.setattr(checks, "classify", counted)
+    assert suite_passed(run_suite())
+    # the D_2p pools are the only ones of order 5 and 7; order 3 has
+    # dihedral3-mirror, sym3-point-swap, dihedral6-klein and its quotient
+    assert calls["isotopy", 3] == 4
+    assert calls["isotopy", 5] == calls["isotopy", 7] == 1
+
+
+@pytest.mark.parametrize("labels", [(), ("sym3-point-swap",)])
+def test_flip_checks_build_their_pools_without_a_dihedral_entry(labels):
+    flip_checks = ["thm4.1", "thm4.2"]
+    assert run_suite(_catalog(*labels), flip_checks) == run_suite(None, flip_checks)
 
 
 def test_flip_class_cap_is_one_constant(monkeypatch):
@@ -392,10 +440,7 @@ def test_prop35_reports_when_one_class_is_forced(monkeypatch):
         )
     ]
     # with no loop transversals left, the same transversal spans only itself
-    monkeypatch.setattr(
-        "nrtloops.checks.structure_flags",
-        lambda loop: types.SimpleNamespace(is_loop=False),
-    )
+    monkeypatch.setattr("nrtloops.checks.is_loop", lambda loop: False)
     assert run_suite(_catalog("sym3-point-swap"), ["prop3.5"]) == [
         CheckReport(
             "prop3.5", "sym3-point-swap", "fail", {"proper_span": "I,(1,3,2),(1,2,3)"}
@@ -555,8 +600,10 @@ def test_prop32_searches_from_the_lower_count(monkeypatch):
 
 def test_one_suite_round_does_pinned_work(monkeypatch):
     """One run_suite() call induces 222 loops (215 for the catalog entries
-    and 7 for the quotients of the 4 with a non-trivial core), builds 660
-    principal-isotope tables and makes 315 signature passes over a table.
+    and 7 for the quotients of the 4 with a non-trivial core), builds 536
+    principal-isotope tables and makes 232 signature passes over a table.
+    thm4.1 and thm4.2 classify no loop of their own: they read the classes
+    of the dihedral3-, dihedral5- and dihedral7-mirror entries.
     The counts are deterministic, so repeated work shows here without any
     timing."""
     work = Counter()
@@ -576,8 +623,8 @@ def test_one_suite_round_does_pinned_work(monkeypatch):
     assert suite_passed(run_suite())
     assert work == {
         "induced_right_loop": 222,
-        "principal_isotope_with_relabel": 660,
-        "_table_signatures": 315,
+        "principal_isotope_with_relabel": 536,
+        "_table_signatures": 232,
     }
 
 

@@ -10,6 +10,7 @@ from nrtloops.flips import (
     dihedral_transversal,
     families_json_obj,
     flip_loop,
+    flip_mask,
     flip_sets,
     loop_transversal_census,
     predicted_left_nonsingular,
@@ -95,6 +96,12 @@ def test_dihedral_transversal_reps():
     assert t.label() == "1,xy,y^2,xy^3"
     with pytest.raises(ValueError):
         dihedral_transversal(1, ())
+
+
+def test_flip_mask_inverts_dihedral_transversal():
+    for n in range(3, 8):
+        for B in flip_sets(n):
+            assert flip_mask(dihedral_transversal(n, B)) == B.mask
 
 
 def test_flip_loops_are_the_induced_dihedral_loops():

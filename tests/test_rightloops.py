@@ -12,6 +12,7 @@ from nrtloops.rightloops import (
     close_permutations,
     group_torsion,
     is_associative,
+    is_loop,
     left_nonsingular_elements,
     structure_flags,
     validate_right_loop,
@@ -117,6 +118,17 @@ def test_structure_flags():
     assert flags.is_loop and not flags.is_group
     assert left_nonsingular_elements(steiner) == tuple(range(10))
     assert not is_associative(steiner.table)
+
+
+def test_is_loop_reads_the_rows_without_the_associativity_scan(monkeypatch):
+    def refuse(table):
+        raise AssertionError("associativity was scanned")
+
+    monkeypatch.setattr(rightloops, "_associativity_failure", refuse)
+    assert is_loop(validate_right_loop(CYCLIC3))
+    assert is_loop(validate_right_loop(steiner_loop_table()))
+    for table in (LOOPISH, MIXED_A, MIXED_B):
+        assert not is_loop(validate_right_loop(table))
 
 
 def test_close_permutations():
