@@ -54,6 +54,15 @@ def _bijections(candidates, alpha: list[int], used: list[bool], p: int):
             used[q] = False
 
 
+def _conjugates(getters, alpha: list[int]):
+    """alpha o c o alpha^-1 for the column c behind each getter, in order,
+    built one at a time as the caller asks for it."""
+    back = operator.itemgetter(*invert(alpha))
+    # back(g(alpha)) is alpha o c o alpha^-1 for the column c behind g
+    for g in getters:
+        yield back(g(alpha))
+
+
 def brute_force_isotopy_oracle(L1: RightLoop, L2: RightLoop) -> bool:
     """Decide isotopy straight from the definition.
 
@@ -75,7 +84,13 @@ def brute_force_isotopy_oracle(L1: RightLoop, L2: RightLoop) -> bool:
     every target whose sorted fixed-point counts differ, as each profile
     holds them. For each other target, every alpha that maps each point
     onto a point of the same profile is tried: the scan is exhaustive
-    over the alpha that can conjugate C1 onto it."""
+    over the alpha that can conjugate C1 onto it.
+
+    The set test stops at the first conjugated column of C1 that is not in
+    the target (see ``_conjugates``). That is set equality: C1's n columns
+    are pairwise distinct (R1(y)(0) = y), conjugation by alpha is injective,
+    and every target R2(z)^-1 o C2 holds exactly n maps, so n distinct
+    conjugates that all lie in the target make up the whole of it."""
     n = L1.order
     if L2.order != n:
         return False
@@ -100,8 +115,6 @@ def brute_force_isotopy_oracle(L1: RightLoop, L2: RightLoop) -> bool:
             points.setdefault(profile, []).append(q)
         candidates = [points[profile] for profile in profiles1]
         for alpha in _bijections(candidates, [0] * n, [False] * n, 0):
-            back = operator.itemgetter(*invert(alpha))
-            # back(g(alpha)) is alpha o c o alpha^-1 for the column c behind g
-            if frozenset(back(g(alpha)) for g in getters) == target:
+            if all(map(target.__contains__, _conjugates(getters, alpha))):
                 return True
     return False

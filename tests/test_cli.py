@@ -352,6 +352,11 @@ def test_output_bytes_are_pinned():
             "d870dc8c5bd459ffbf31b9157d0125ac7498600317137ddc66431b0dd93f63a9",
         ),
         (
+            ("classify", "--group", "dihedral:11", "--subgroup", "x",
+             "--relation", "iso", "--format", "json"),
+            "14a61be0ceb0b30264dcbdba3b69fcd74b5b0e1cf21fb92ae88bbfbb2b0ed852",
+        ),
+        (
             ("nrt", "enumerate", "--group", "sym:4", "--subgroup", "(1,2)"),
             "b80d4a89e03ee1a7cefb32f3197dc05a37283d70499a5caecaf58ce94e4c6824",
         ),

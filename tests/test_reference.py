@@ -3,8 +3,11 @@ search path, and its positive answers through a non-trivial conjugation."""
 
 import ast
 import random
+from collections import Counter
 from pathlib import Path
 
+from nrtloops import reference
+from nrtloops.checks import default_catalog
 from nrtloops.flips import affine_families, flip_loop
 from nrtloops.groups import build_named_group, parse_subgroup
 from nrtloops.isotopy import classify
@@ -100,3 +103,49 @@ def test_oracle_is_true_through_a_conjugation_on_alt_four():
         assert brute_force_isotopy_oracle(loop, image)
         stranger = relabelled(loops[rng.choice(others)], random_relabelling(rng, 6))
         assert not brute_force_isotopy_oracle(loop, stranger)
+
+
+def test_oracle_premise_holds_on_every_catalog_pool():
+    """The early stop of the oracle's set test rests on two facts, checked
+    here on every pool of the default catalog, dihedral:7 x and alt:4
+    (1,2)(3,4): a loop's columns are pairwise distinct, and each target
+    R2(z)^-1 o C2 holds exactly n maps."""
+    pools = [(e.group, e.subgroup) for e in default_catalog()]
+    pools += [("dihedral:7", "x"), ("alt:4", "(1,2)(3,4)")]
+    checked = 0
+    for descriptor, subgroup in dict.fromkeys(pools):
+        G = build_named_group(descriptor)
+        for t in enumerate_transversals(G, parse_subgroup(G, subgroup)):
+            loop = induced_right_loop(t)
+            n, cols = loop.order, loop.columns
+            assert len(set(cols)) == n, (descriptor, subgroup)
+            for r in cols:
+                assert len({compose(invert(r), c) for c in cols}) == n
+            checked += 1
+    assert checked > 64
+
+
+def test_oracle_scan_stops_at_the_first_column_outside_the_target(monkeypatch):
+    """On the 128 pairs of test_oracle_pairs_do_pinned_work (the pairs
+    (i, i+1) and (i, i+32) mod 64 of the dihedral:7 x loops), the oracle tries
+    16,439 alpha and builds 33,559 conjugated columns, not all 7 columns
+    of each alpha (115,073)."""
+    G = build_named_group("dihedral:7")
+    loops = [
+        induced_right_loop(t)
+        for t in enumerate_transversals(G, parse_subgroup(G, "x"))
+    ]
+    work = Counter()
+    conjugates = reference._conjugates
+
+    def counted(getters, alpha):
+        work["alpha"] += 1
+        for c in conjugates(getters, alpha):
+            work["columns"] += 1
+            yield c
+
+    monkeypatch.setattr(reference, "_conjugates", counted)
+    pairs = [(i, (i + d) % 64) for i in range(64) for d in (1, 32)]
+    decided = [(a, b) for a, b in pairs if brute_force_isotopy_oracle(loops[a], loops[b])]
+    assert len(decided) == 24
+    assert (work["alpha"], work["columns"]) == (16_439, 33_559)
