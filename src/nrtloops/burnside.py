@@ -140,15 +140,18 @@ def affine_cycle_index(p: int) -> CycleIndex:
     The group has order p(p-1); the identity contributes x1^p, the p-cycles
     (translations) contribute (p-1) x_p, and for each divisor d > 1 of p-1
     the maps of multiplier order d contribute p*phi(d) copies of
-    x1 * x_d^((p-1)/d)."""
+    x1 * x_d^((p-1)/d). The divisors are found in pairs (d, (p-1)/d) with
+    d up to the square root of p-1."""
     _require_odd_prime(p)
     order = p * (p - 1)
     terms = [((1, p),), ((p, 1),)]
     coeffs = [Fraction(1, order), Fraction(p - 1, order)]
-    for d in range(2, p):
-        if (p - 1) % d == 0:
-            terms.append(((1, 1), (d, (p - 1) // d)))
-            coeffs.append(Fraction(p * euler_phi(d), order))
+    m = p - 1
+    for small in range(1, math.isqrt(m) + 1):
+        if m % small == 0:
+            for d in {small, m // small} - {1}:
+                terms.append(((1, 1), (d, m // d)))
+                coeffs.append(Fraction(p * euler_phi(d), order))
     return CycleIndex(p, tuple(zip(terms, coeffs)))
 
 

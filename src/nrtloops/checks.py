@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .burnside import dihedral_isotopy_count, subset_orbit_count
@@ -66,15 +66,10 @@ class CatalogEntry:
     label: str
     group: str
     subgroup: str
-    facts: tuple[tuple[str, object], ...] = ()
+    facts: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        facts = self.facts
-        if isinstance(facts, dict):
-            facts = tuple(sorted(facts.items()))
-        else:
-            facts = tuple(sorted(tuple(facts)))
-        for key, value in facts:
+        for key, value in self.facts.items():
             if key not in _FACTS:
                 raise ValueError(f"unknown fact key {key!r}")
             # exact types, as bool is an int subclass and 0 == False
@@ -84,10 +79,6 @@ class CatalogEntry:
                     f"catalog entry {self.label!r} has a fact {key!r} that is not "
                     + ("a boolean" if wanted is bool else "a non-negative integer")
                 )
-        object.__setattr__(self, "facts", facts)
-
-    def facts_dict(self) -> dict:
-        return dict(self.facts)
 
 
 @dataclass(frozen=True)
@@ -95,25 +86,18 @@ class CheckReport:
     check_id: str
     label: str
     verdict: str
-    details: tuple[tuple[str, object], ...] = ()
+    details: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.verdict not in ("pass", "fail", "vacuous"):
             raise ValueError(f"bad verdict {self.verdict!r}")
-        details = self.details
-        if isinstance(details, dict):
-            details = tuple(sorted(details.items()))
-        object.__setattr__(self, "details", tuple(details))
-
-    def details_dict(self) -> dict:
-        return dict(self.details)
 
     def to_json_obj(self) -> dict:
         return {
             "check": self.check_id,
             "label": self.label,
             "verdict": self.verdict,
-            "details": _jsonable(self.details_dict()),
+            "details": _jsonable(self.details),
         }
 
 
@@ -215,7 +199,7 @@ def _is_squarefree(n: int) -> bool:
 
 
 def _check_facts(data: _EntryData):
-    expected = data.entry.facts_dict()
+    expected = data.entry.facts
     if not expected:
         return "vacuous", {"declared": 0}
     computed = {key: fact(data) for key, fact in _FACTS.items() if key in expected}
@@ -262,17 +246,16 @@ def _check_prop32(data: _EntryData):
 
 
 def _check_prop33(data: _EntryData):
-    """The isotopy class count is unchanged by factoring out the core. When
-    the quotient map is the identity onto a group with the entry's table,
-    as on a trivial core, the quotient's transversals and loops are the
-    entry's, so they are neither induced nor classified again."""
+    """The isotopy class count is unchanged by factoring out the core. On a
+    trivial core the quotient is the group itself, so its transversals and
+    loops are the entry's and are neither induced nor classified again."""
     G = data.group
     N = core(G, data.subgroup)
-    Q, projection = quotient(G, N)
     upstairs = len(data.partition("isotopy").classes)
-    if projection == tuple(range(G.order)) and Q.table == G.table:
+    if N.order == 1:
         downstairs = upstairs
     else:
+        Q, projection = quotient(G, N)
         HQ = subgroup(Q, {projection[h] for h in data.subgroup.members})
         loops = (induced_right_loop(t) for t in enumerate_transversals(Q, HQ))
         downstairs = len(classify(loops, "isotopy").classes)
@@ -429,6 +412,13 @@ def _check_thm312(data: _EntryData):
     return "pass", {"pairs": pairs, "transitive_members": transitive_total}
 
 
+def _flip_mask_classes(data: _EntryData) -> list[frozenset[int]]:
+    """The isotopy classes of a D_2p entry's <x> pool, as sets of flip masks."""
+    masks = [flip_mask(t) for t in data.transversals]
+    classes = data.partition("isotopy").classes
+    return [frozenset(masks[m] for m in members) for members in classes]
+
+
 class FlipClassCounts:
     """The mod-p flip loops' isotopy classes and their count found three
     ways: the cycle-index formula, the Burnside count of orbits on subsets
@@ -436,11 +426,10 @@ class FlipClassCounts:
     to FLIP_CLASS_PRIME_CAP direct classification (None above that). Each
     is computed when first read, so the checks of one run_suite call share
     one classification per prime: that of the transversals of <x> in D_2p,
-    from the catalog entry run_suite hands over as entry, else built here."""
+    which run_suite stores from the matching catalog entry, else built here."""
 
     def __init__(self, p: int):
         self.p = p
-        self.entry: _EntryData | None = None
 
     @cached_property
     def classes(self) -> list[frozenset[int]] | None:
@@ -449,10 +438,8 @@ class FlipClassCounts:
         p = self.p
         if p > FLIP_CLASS_PRIME_CAP:
             return None
-        data = self.entry or _EntryData(CatalogEntry(f"D{p}", f"dihedral:{p}", "x"))
-        masks = [flip_mask(t) for t in data.transversals]
-        classes = data.partition("isotopy").classes
-        return [frozenset(masks[m] for m in members) for members in classes]
+        pool = _EntryData(CatalogEntry(f"D{p}", f"dihedral:{p}", "x"))
+        return _flip_mask_classes(pool)
 
     @cached_property
     def orbit_count(self) -> int:
@@ -551,7 +538,8 @@ def run_suite(catalog=None, check_ids=None, ps=DEFAULT_PRIMES) -> list[CheckRepo
     prime-parameterized checks; reports come back in catalog order within
     check-id order. Every entry's group and subgroup are built first, so a
     bad descriptor fails before any pool; then the entry checks run entry
-    by entry, each entry's pools dropped before the next's are built."""
+    by entry, each entry's pools dropped before the next's are built and
+    the last entry's before the prime and suite checks run."""
     if catalog is None:
         catalog = default_catalog()
     if check_ids is None:
@@ -568,7 +556,7 @@ def run_suite(catalog=None, check_ids=None, ps=DEFAULT_PRIMES) -> list[CheckRepo
     entry_checks = [c for c in requested if _CHECKS[c][0] == "entry"]
     pending = [_EntryData(entry) for entry in catalog][::-1]
     primes = [FlipClassCounts(p) for p in ps]
-    # an entry that holds a prime's D_2p pool lends it its isotopy classes
+    # an entry that holds a prime's D_2p pool hands it its isotopy classes
     lend = any(_CHECKS[c][0] == "prime" for c in requested)
     borrowers = [q for q in primes if lend and 1 < q.p <= FLIP_CLASS_PRIME_CAP]
     while pending:
@@ -579,7 +567,8 @@ def run_suite(catalog=None, check_ids=None, ps=DEFAULT_PRIMES) -> list[CheckRepo
                 rows[check_id].append((data.entry.label, *result))
         for q in borrowers:
             if data.subgroup.members == (0, q.p) and data.group == dihedral_group(q.p):
-                q.entry = data
+                q.classes = _flip_mask_classes(data)
+    data = None  # drops the last entry
     for check_id in requested:
         kind, check = _CHECKS[check_id]
         if kind == "prime":

@@ -46,17 +46,13 @@ class FlipSet:
         return f"FlipSet({self.n}, {{{', '.join(map(str, self.members))}}})"
 
     def __contains__(self, residue: int) -> bool:
-        return residue in self._member_set
+        return residue in self.members
 
     def __len__(self) -> int:
         return len(self.members)
 
     def __iter__(self):
         return iter(self.members)
-
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
 
     @cached_property
     def mask(self) -> int:

@@ -171,11 +171,7 @@ class Subgroup:
         return self.parent.order // self.order
 
     def __contains__(self, a: int) -> bool:
-        return a in self._member_set
-
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
+        return a in self.members
 
 
 def subgroup(G: FiniteGroup, members) -> Subgroup:

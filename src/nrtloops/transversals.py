@@ -25,7 +25,6 @@ class Transversal:
     (reps[i] is the representative of coset i; reps[0] is the identity)."""
 
     group: FiniteGroup
-    subgroup: Subgroup
     decomposition: CosetDecomposition
     reps: tuple[int, ...]
 
@@ -63,7 +62,7 @@ def make_transversal(
     for i, r in enumerate(reps):
         if not 0 <= r < G.order or dec.coset_of[r] != i:
             raise GroupError(f"representative {r} does not lie in coset {i}")
-    return Transversal(G, H, dec, reps)
+    return Transversal(G, dec, reps)
 
 
 def transversal_from_elements(G: FiniteGroup, H: Subgroup, elements) -> Transversal:
@@ -96,7 +95,7 @@ def enumerate_transversals(
 
     def generate():
         for choice in itertools.product(*dec.cosets[1:]):
-            yield Transversal(G, H, dec, (0, *choice))
+            yield Transversal(G, dec, (0, *choice))
 
     return generate()
 

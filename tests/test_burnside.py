@@ -100,6 +100,20 @@ def test_cycle_index_from_permutations():
         cycle_index_from_permutations([(0, 1), (0, 1, 2)])
 
 
+def test_affine_cycle_index_matches_a_scan_of_every_divisor():
+    """The divisors of p-1, found in pairs up to its square root, give the
+    terms of a scan of every d in 2..p-1."""
+    for p in filter(is_prime, range(3, 1000)):
+        order = p * (p - 1)
+        scanned = [(((1, p),), Fraction(1, order)), (((p, 1),), Fraction(p - 1, order))]
+        scanned.extend(
+            (((1, 1), (d, (p - 1) // d)), Fraction(p * euler_phi(d), order))
+            for d in range(2, p)
+            if (p - 1) % d == 0
+        )
+        assert affine_cycle_index(p).terms == CycleIndex(p, tuple(scanned)).terms, p
+
+
 def test_affine_cycle_index_matches_brute_force():
     """The closed form agrees term by term with averaging cycle types over
     every affine permutation, for every odd prime up to the cap."""

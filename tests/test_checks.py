@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import tracemalloc
+import weakref
 from collections import Counter
 
 import pytest
@@ -50,14 +51,14 @@ def test_catalog_entries():
     catalog = default_catalog()
     assert [e.label for e in catalog] == EXPECTED_LABELS
     for entry in catalog:
-        facts = entry.facts_dict()
+        facts = entry.facts
         assert set(facts) == {
             "normal",
             "isotopy_classes",
             "isomorphism_classes",
             "loop_transversals",
         }
-    by_label = {e.label: e.facts_dict() for e in catalog}
+    by_label = {e.label: e.facts for e in catalog}
     assert by_label["sym3-point-swap"]["isotopy_classes"] == 2
     assert by_label["alt4-double-swap"]["isomorphism_classes"] == 5
     assert by_label["alt4-double-swap"]["loop_transversals"] == 0
@@ -66,16 +67,17 @@ def test_catalog_entries():
 
 
 def test_catalog_entry_validation():
-    entry = CatalogEntry("demo", "sym:3", "(2,3)", {"normal": False})
-    assert entry.facts == (("normal", False),)
+    facts = {"normal": False}
+    entry = CatalogEntry("demo", "sym:3", "(2,3)", facts)
+    assert entry.facts is facts
     with pytest.raises(ValueError, match="fact key"):
         CatalogEntry("demo", "sym:3", "(2,3)", {"color": "red"})
 
 
 def test_check_report_validation():
-    report = CheckReport("facts", "demo", "pass", {"b": 2, "a": 1})
-    assert report.details == (("a", 1), ("b", 2))
-    assert report.details_dict() == {"a": 1, "b": 2}
+    details = {"b": 2, "a": 1}
+    report = CheckReport("facts", "demo", "pass", details)
+    assert report.details is details
     obj = report.to_json_obj()
     assert obj == {
         "check": "facts",
@@ -147,7 +149,7 @@ def test_counting_check_details():
         "p=7": {"direct": 5, "families": 5, "formula": 5, "orbit_count": 10},
     }
     for r in reports:
-        assert r.details_dict() == expected[r.label]
+        assert r.details == expected[r.label]
 
 
 def test_prime_parameter():
@@ -157,7 +159,7 @@ def test_prime_parameter():
     # flip loops are classified only up to p = 7, larger primes report vacuous
     assert rows[("thm4.1", "p=11")].verdict == "vacuous"
     assert rows[("thm4.2", "p=11")].verdict == "pass"
-    assert rows[("thm4.2", "p=11")].details_dict() == {
+    assert rows[("thm4.2", "p=11")].details == {
         "families": 15,
         "formula": 15,
         "orbit_count": 30,
@@ -192,7 +194,7 @@ def test_load_catalog(tmp_path):
     catalog = load_catalog(path)
     assert len(catalog) == 2
     assert catalog[0].label == "one"
-    assert catalog[1].facts == ()
+    assert catalog[1].facts == {}
     reports = run_suite(catalog=catalog, check_ids=["facts"])
     assert [r.verdict for r in reports] == ["pass", "vacuous"]
 
@@ -230,7 +232,7 @@ def test_wrong_fact_is_reported(tmp_path):
     assert len(reports) == 1
     report = reports[0]
     assert report.verdict == "fail"
-    assert report.details_dict() == {
+    assert report.details == {
         "isotopy_classes": {"expected": 3, "computed": 2}
     }
     assert not suite_passed(reports)
@@ -244,7 +246,7 @@ def test_prop32_fails_when_counts_are_crossed(monkeypatch):
     catalog = [e for e in default_catalog() if e.label == "sym3-point-swap"]
     (report,) = run_suite(catalog=catalog, check_ids=["prop3.2"])
     assert report.verdict == "fail"
-    assert report.details_dict() == {
+    assert report.details == {
         "first": "I,(1,2),(1,2,3)",
         "second": "I,(1,3,2),(1,2,3)",
     }
@@ -254,7 +256,7 @@ def test_thm41_fails_when_families_miss_a_class_member(monkeypatch):
     monkeypatch.setattr("nrtloops.checks._family_masks", lambda p, B: frozenset([B]))
     (report,) = run_suite(check_ids=["thm4.1"], ps=(5,))
     assert report.verdict == "fail"
-    assert report.details_dict() == {
+    assert report.details == {
         "B": "{1}",
         "C": "{2}",
         "family_predicts": False,
@@ -273,7 +275,7 @@ def test_thm41_reports_an_asymmetric_family(monkeypatch):
     (report,) = run_suite(check_ids=["thm4.1"], ps=(5,))
     assert report.verdict == "fail"
     # the family of {1} gained the empty set, whose family lacks {1}
-    assert report.details_dict() == {"asymmetric": ["{1}", "{}"]}
+    assert report.details == {"asymmetric": ["{1}", "{}"]}
 
 
 def test_thm41_and_thm42_build_no_flip_set_when_they_pass(monkeypatch):
@@ -306,17 +308,49 @@ def _flip_loop_classes(p):
 def test_flip_classes_are_the_classes_of_the_flip_loops(monkeypatch, p):
     reference = _flip_loop_classes(p)
     assert set(FlipClassCounts(p).classes) == reference
-    # the classes run_suite reads off the catalog entry of the same pool
-    lent = []
+    # run_suite stores the classes of the catalog entry of the same pool,
+    # so the record builds no D_2p pool of its own
+    built, seen = [], []
+    init = checks._EntryData.__init__
     check = checks._check_thm41
 
+    def recorded_init(self, entry):
+        built.append(entry.label)
+        init(self, entry)
+
     def recorded(counts):
-        lent.append((counts.entry.entry.label, set(counts.classes)))
+        seen.append(set(counts.classes))
         return check(counts)
 
+    monkeypatch.setattr(checks._EntryData, "__init__", recorded_init)
     monkeypatch.setitem(checks._CHECKS, "thm4.1", ("prime", recorded))
     assert suite_passed(run_suite(check_ids=["thm4.1"], ps=(p,)))
-    assert lent == [(f"dihedral{p}-mirror", reference)]
+    assert seen == [reference]
+    assert built == EXPECTED_LABELS
+
+
+def test_no_entry_outlives_its_turn(monkeypatch):
+    """run_suite drops each entry, pools and all, before the next one's
+    and the last one before the prime checks: when thm4.1 runs, no entry
+    is alive, not even the D_2p entries whose classes it reads."""
+    refs, alive = [], []
+    init = checks._EntryData.__init__
+    check = checks._check_thm41
+
+    def tracked_init(self, entry):
+        init(self, entry)
+        refs.append(weakref.ref(self))
+
+    def probed(counts):
+        gc.collect()
+        alive.append([d.entry.label for ref in refs if (d := ref()) is not None])
+        return check(counts)
+
+    monkeypatch.setattr(checks._EntryData, "__init__", tracked_init)
+    monkeypatch.setitem(checks._CHECKS, "thm4.1", ("prime", probed))
+    assert suite_passed(run_suite())
+    assert len(refs) == len(EXPECTED_LABELS)
+    assert alive == [[], [], []]
 
 
 def test_a_suite_round_classifies_each_flip_pool_once(monkeypatch):
@@ -347,7 +381,7 @@ def test_flip_class_cap_is_one_constant(monkeypatch):
     monkeypatch.setattr("nrtloops.checks.FLIP_CLASS_PRIME_CAP", 5)
     (report,) = run_suite(check_ids=["thm4.1"], ps=(7,))
     assert report.verdict == "vacuous"
-    assert report.details_dict() == {"note": "direct classification capped at p=5"}
+    assert report.details == {"note": "direct classification capped at p=5"}
     assert FlipClassCounts(7).direct is None
     assert FlipClassCounts(5).direct == 3
 
@@ -370,7 +404,7 @@ def test_thm312_fails_when_transitive_members_are_not_isomorphic(monkeypatch):
     failed = [r for r in reports if r.verdict == "fail"]
     assert [r.label for r in failed] == ["dihedral3-rotations"]
     # all three rotation-subgroup loops are transitive; the first two are named
-    assert failed[0].details_dict() == {"first": "1,x", "second": "1,xy"}
+    assert failed[0].details == {"first": "1,x", "second": "1,xy"}
 
 
 def _orbit_walk_transitive(loop):
@@ -475,7 +509,8 @@ def test_prop33_reuses_an_identical_classification(monkeypatch):
     """Where the quotient induces the entry's tables, in order, prop3.3
     reads the entry's classification: 15 classify calls instead of 22, the
     4 entries with a non-trivial core still classifying downstairs, and the
-    reports of the check classifying both sides every time."""
+    reports of the check classifying both sides every time. Only those 4
+    build a quotient."""
     expected = []
     for entry in default_catalog():
         G = build_named_group(entry.group)
@@ -501,10 +536,21 @@ def test_prop33_reuses_an_identical_classification(monkeypatch):
         calls.append(relation)
         return classify(loops, relation)
 
+    quotients = []
+
+    def counted_quotient(G, N):
+        quotients.append(N.order)
+        return quotient(G, N)
+
     monkeypatch.setattr("nrtloops.checks.classify", counted)
+    monkeypatch.setattr("nrtloops.checks.quotient", counted_quotient)
     assert run_suite(check_ids=["prop3.3"]) == expected
     assert calls == ["isotopy"] * 15
-    assert sum(r.details_dict()["core_order"] == 1 for r in expected) == 7
+    assert quotients == [
+        r.details["core_order"] for r in expected if r.details["core_order"] != 1
+    ]
+    assert len(quotients) == 4
+    assert sum(r.details["core_order"] == 1 for r in expected) == 7
 
 
 def test_one_class_checks_fail_on_a_non_normal_subgroup(monkeypatch):
@@ -539,7 +585,7 @@ def test_prop37_fails_when_a_normal_subgroup_has_several_classes(monkeypatch):
         ("facts", "fail"),
         ("prop3.7", "fail"),
     ]
-    assert reports[1].details_dict() == {"itp": 4, "normal": True}
+    assert reports[1].details == {"itp": 4, "normal": True}
 
 
 def test_prop32_fails_on_a_class_member_with_another_count(monkeypatch):
@@ -721,14 +767,14 @@ def test_prop39_fails_when_the_group_misses_an_autotopy(monkeypatch):
     assert len(reports) == len(dropped) == 16
     for report, w in zip(reports, dropped):
         assert report.verdict == "fail"
-        assert report.details_dict() == {
+        assert report.details == {
             "companion": w.beta[0],
             "eta": w.alpha,
             "side": "right",
         }
     # on the group Z5 the dropped autotopy is (id, R(1), R(1))
-    assert reports[0].details_dict()["eta"] == (0, 1, 2, 3, 4)
-    assert reports[0].details_dict()["companion"] == 1
+    assert reports[0].details["eta"] == (0, 1, 2, 3, 4)
+    assert reports[0].details["companion"] == 1
 
 
 def _misreported_triples(monkeypatch, wrong):

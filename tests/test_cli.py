@@ -382,6 +382,14 @@ def test_output_bytes_are_pinned():
             ("group", "show", "--group", "sym:4", "--format", "csv"),
             "d081534ee9b95c8b699589192267641a679cb24ec1f5e1008f5099483a28b140",
         ),
+        (
+            ("dihedral", "census", "--n", "8", "--format", "json"),
+            "fce8e48a818084a77455f32d906e779257587402976c13efe26eac920c93a36a",
+        ),
+        (
+            ("cycle-index", "--p", "13", "--format", "json"),
+            "1f764ed2c127133028ae74689831119d3ddc598366ae04b8f36cfd847b70b4a8",
+        ),
     ):
         result = run_cli(*argv)
         assert result.returncode == 0

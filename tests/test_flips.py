@@ -91,7 +91,7 @@ def test_flip_loop_rejects_bad_sets():
 
 def test_dihedral_transversal_reps():
     t = dihedral_transversal(4, (1, 3))
-    assert t.subgroup.members == (0, 4)
+    assert t.decomposition.subgroup.members == (0, 4)
     assert t.reps == (0, 5, 2, 7)
     assert t.label() == "1,xy,y^2,xy^3"
     with pytest.raises(ValueError):
